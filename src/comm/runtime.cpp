@@ -324,7 +324,12 @@ Communicator Communicator::split(int color, int key) {
   // successive splits) get distinct ids.
   const std::uint64_t ctx = detail::mix64(
       detail::mix64(context_, seq), static_cast<std::uint64_t>(color) + 1);
-  return Communicator(rt_, ctx, newRank, std::move(newGroupToWorld));
+  Communicator out(rt_, ctx, newRank, std::move(newGroupToWorld));
+  // A sub-communicator belongs to its parent's recovery generation: born
+  // at epoch 0 after a shrink, its first empty poll slice would mistake
+  // the already-handled death for a new one.
+  out.bornEpoch_ = bornEpoch_;
+  return out;
 }
 
 Communicator Communicator::shrink(const std::vector<int>& deadWorldRanks) const {

@@ -63,7 +63,8 @@ class DomainMap {
 /// fused collide–stream kernel: frontier sites (any streaming pull that
 /// crosses a rank boundary, a wall, or an iolet) come first so their
 /// outgoing halo populations can be computed and posted before the bulk
-/// sweep; bulk sites follow, sub-sorted by Morton key for cache locality.
+/// sweep; bulk sites follow in row-major order (x fastest), so push
+/// destinations form long unit-stride runs.
 ///
 /// Contract: *external* local indices — the DomainMap order used by
 /// checkpointing, visualisation sampling, WSS extraction and every test —

@@ -9,44 +9,37 @@
 ///
 /// Distributions live behind a layout-agnostic storage class
 /// (lb/layout.hpp): **kSoA** keeps one aligned, padded plane per velocity
-/// direction (what the vectorised kernel requires), **kAoS** the textbook
-/// site-major record layout kept as the layout-equivalence reference. Every
-/// public surface (checkpointing, observables, vis extraction) goes through
-/// the same gather/scatter accessors, so the external format is identical
-/// under either layout.
+/// direction, **kAoS** the textbook site-major record layout, kept for the
+/// reference kernel's layout-equivalence check. Every public surface
+/// (checkpointing, observables, vis extraction) goes through the same
+/// gather/scatter accessors, so the external format is identical under
+/// either layout.
 ///
-/// Three kernels drive the hot path (LbParams::kernel):
+/// One production kernel plus one oracle (LbParams::kernel):
 ///
-/// * **kSimd**: the fused push sweep with the bulk pass rewritten as
-///   cache-blocked, branch-free SIMD strips over the SoA planes
-///   (util/simd.hpp: AVX-512/AVX2 intrinsics with a scalar fallback). Bulk
-///   sites are sorted row-major (x fastest) instead of by Morton code, so
-///   the per-direction push destinations decompose into long unit-stride
-///   runs (the propagation-optimised layout of Wittmann et al.); the
-///   streamed writes then retire through non-temporal stores once the
-///   working set outgrows the last-level cache. Frontier sites vectorise
-///   the same way — their local pushes and wall folds also decompose into
-///   unit-stride runs — leaving only iolet rules and halo sends on the
-///   per-op scalar path.
-/// * **kFused** (default): one pass per site fuses collision and streaming.
-///   Owned sites are internally reordered frontier-first (see
-///   SiteReordering): the frontier pass collides every site whose update
-///   touches a rank boundary, wall or iolet, applies the local boundary
-///   rules, and drops the outgoing halo populations straight into
-///   persistent send buffers; the halo messages are then posted and the
-///   bulk sites — all-local, Morton-sorted, branch-free push loop — are
-///   processed *while the messages are in flight*; finally the receives
-///   are drained directly into the frontier sites' fNext slots. This
-///   eliminates the intermediate full-lattice read/write round trip of the
-///   three-phase path and hides communication behind the bulk sweep.
-/// * **kReference**: the textbook three-phase collide → blocking exchange →
-///   pull-stream, kept for paired equivalence testing and benchmarking.
+/// * **kSimd** (default, SoA only): one fused collide-and-push sweep.
+///   Owned sites are reordered internally (SiteReordering): frontier sites
+///   (any update touching a rank boundary, wall or iolet) first, then the
+///   all-local bulk sites row-major (x fastest), so the per-direction push
+///   destinations decompose into long unit-stride runs (the
+///   propagation-optimised layout of Wittmann et al.). Each pass collides
+///   a strip of sites as SIMD groups (util/simd.hpp: AVX-512/AVX2
+///   intrinsics, or the scalar VecD backend) into a direction-major
+///   buffer, then retires the strip through precomputed store tables:
+///   local pushes and halfway-bounce-back wall folds as unit-stride run
+///   copies, iolet rules and halo sends through a short per-op list. The
+///   frontier pass drops the outgoing halo populations into persistent
+///   send buffers; the messages are posted and the bulk pass runs *while
+///   they are in flight*; the receives then drain straight into fNext.
+///   Once f + fNext outgrow the last-level cache the bulk stores stream
+///   past it (non-temporal stores).
+/// * **kReference**: the textbook three-phase collide, blocking exchange,
+///   pull-stream — the test oracle, and the only kernel that accepts kAoS.
 ///
-/// Both kernels perform the identical floating-point update per site (the
-/// collision is shared), so their trajectories agree bitwise. Streaming
-/// uses f_i(x, t+1) = f*_i(x − c_i, t); the fused kernel realises it as a
-/// push from the collided site, the reference kernel as a pull at the
-/// destination — same values, different sweep structure.
+/// Both kernels perform the same per-site update; they differ only in
+/// floating-point contraction, so their trajectories agree to ~1e-12.
+/// Streaming is f_i(x, t+1) = f*_i(x - c_i, t): kSimd realises it as a
+/// push from the collided site, kReference as a pull at the destination.
 
 #include <algorithm>
 #include <cstdint>
@@ -63,7 +56,6 @@
 #include "lb/layout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
-#include "util/morton.hpp"
 #include "util/simd.hpp"
 #include "util/timer.hpp"
 
@@ -81,24 +73,20 @@ struct LbParams {
   Vec3d bodyForce{0, 0, 0};
   /// Also accumulate the deviatoric stress tensor during collision.
   bool computeStress = false;
-  /// Hot-path kernel; kSimd is the vectorised fused sweep (requires the
-  /// SoA layout), kReference the three-phase collide/exchange/stream sweep
-  /// kept for equivalence testing and benchmarking.
-  enum class Kernel { kFused, kReference, kSimd } kernel = Kernel::kFused;
+  /// Hot-path kernel: kSimd is the production fused SIMD sweep (requires
+  /// the SoA layout), kReference the three-phase collide/exchange/stream
+  /// oracle kept for equivalence testing. The values are pinned because
+  /// kernel-parametrised test names print the underlying value.
+  enum class Kernel { kReference = 1, kSimd = 2 } kernel = Kernel::kSimd;
   /// Distribution storage layout (lb/layout.hpp). kAoS is the site-major
-  /// reference layout for layout-equivalence tests.
+  /// layout, accepted by the reference kernel only.
   Layout layout = Layout::kSoA;
-  /// Non-temporal store policy for the SIMD kernel's streamed writes.
-  /// kAuto streams only once the distribution working set clearly exceeds
-  /// cache capacity (NT stores evict lines the next step would rehit).
-  enum class NtStores { kAuto, kOn, kOff } ntStores = NtStores::kAuto;
 
   /// Kinematic viscosity implied by tau (lattice units).
   double viscosity() const { return kCs2 * (tau - 0.5); }
 
   const char* kernelName() const {
     switch (kernel) {
-      case Kernel::kFused: return "fused";
       case Kernel::kReference: return "reference";
       case Kernel::kSimd: return "simd";
     }
@@ -110,32 +98,29 @@ template <typename Lattice>
 class Solver {
  public:
   static constexpr int kQ = Lattice::kQ;
-  /// Bulk sites collided per block in the fused kernel; the block buffer
-  /// (kBulkBlock * kQ doubles) must stay L1-resident.
-  static constexpr std::uint32_t kBulkBlock = 64;
   /// Sites per SIMD store strip (frontier and bulk passes share the one
   /// strip buffer). Sized so the per-direction drain writes long
-  /// sequential bursts (the buffer, ~150 KB for D3Q19, spills to L2 —
+  /// sequential bursts (the buffer, ~190 KB for D3Q19, spills to L2 —
   /// collision is compute-bound enough that the extra L1 misses are
   /// noise, while short write bursts measurably defeat the core's
   /// write-combining).
-  static constexpr std::uint32_t kBulkStrip = 1024;
-  static_assert(kBulkStrip % simd::kWidth == 0);
-  /// kAuto NT-store fallback threshold when the LLC size is unknown:
-  /// stream past the cache only when f + fNext exceed this (smaller
-  /// lattices rehit the lines next step).
-  static constexpr std::size_t kNtAutoBytes = std::size_t{16} << 20;
+  static constexpr std::uint32_t kStripSites = 1024;
+  static_assert(kStripSites % simd::kWidth == 0);
+  /// Non-temporal store threshold when the LLC size is unknown: stream
+  /// past the cache only when f + fNext exceed this (smaller lattices
+  /// rehit the lines next step).
+  static constexpr std::size_t kNtFallbackBytes = std::size_t{16} << 20;
 
-  /// kAuto NT-store threshold: the last-level cache size when the OS
-  /// reports it, else kNtAutoBytes. Non-temporal stores only pay once
+  /// Non-temporal store threshold: the last-level cache size when the OS
+  /// reports it, else kNtFallbackBytes. Non-temporal stores only pay once
   /// the slabs cannot stay LLC-resident between steps — streaming an
   /// LLC-resident working set to DRAM was measured ~20% slower.
-  static std::size_t ntAutoThresholdBytes() {
+  static std::size_t ntThresholdBytes() {
 #if defined(__linux__) && defined(_SC_LEVEL3_CACHE_SIZE)
     const long l3 = ::sysconf(_SC_LEVEL3_CACHE_SIZE);
     if (l3 > 0) return static_cast<std::size_t>(l3);
 #endif
-    return kNtAutoBytes;
+    return kNtFallbackBytes;
   }
 
   Solver(const DomainMap& domain, comm::Communicator& comm,
@@ -150,9 +135,7 @@ class Solver {
     fNext_.init(params.layout, domain.numOwned());
     const std::size_t distBytes =
         2 * domain.numOwned() * static_cast<std::size_t>(kQ) * sizeof(double);
-    useNt_ = params.ntStores == LbParams::NtStores::kOn ||
-             (params.ntStores == LbParams::NtStores::kAuto &&
-              distBytes > ntAutoThresholdBytes());
+    useNt_ = distBytes > ntThresholdBytes();
     for (const auto& io : domain.lattice().iolets()) {
       ioletDensity_.push_back(io.density);
       ioletVelocity_.push_back(io.normal.normalized() * io.speed);
@@ -237,7 +220,7 @@ class Solver {
     }
   }
 
-  /// One full LB update. The scalar kernels are instantiated per layout
+  /// One full LB update. The reference kernel is instantiated per layout
   /// (site stride 1 for SoA planes, kQ for AoS records); the SIMD kernel
   /// is SoA-only by construction.
   void step() {
@@ -260,13 +243,6 @@ class Solver {
           collide<kQ>();
           exchange<kQ>();
           stream<kQ>();
-        }
-        break;
-      case LbParams::Kernel::kFused:
-        if (soa) {
-          stepFused<1>();
-        } else {
-          stepFused<kQ>();
         }
         break;
       case LbParams::Kernel::kSimd:
@@ -301,7 +277,7 @@ class Solver {
     return p;
   }
 
-  /// Per-phase CPU time accumulated on this rank. In the fused kernel
+  /// Per-phase CPU time accumulated on this rank. In the SIMD kernel
   /// collide covers both fused passes and stream the receive scatter.
   const PhaseTimer& collideTimer() const { return collideTimer_; }
   const PhaseTimer& streamTimer() const { return streamTimer_; }
@@ -388,23 +364,63 @@ class Solver {
     PullKind kind = PullKind::kWall;
     std::uint32_t index = 0;  ///< internal idx / flat recv slot / iolet id
   };
-
-  /// One boundary/halo action of a frontier site's fused update.
-  enum class OpKind : std::uint8_t {
-    kPushLocal,  ///< fNext[dir][index] = f*[dir]
-    kSend,       ///< sendFlat_[index] = f*[dir]
-    kWall,       ///< fNext[dir][self] = f*[opposite(dir)] (bounce-back)
-    kIolet       ///< fNext[dir][self] = iolet rule (index = iolet id)
-  };
-  struct FrontierOp {
-    std::uint32_t index = 0;
-    std::uint8_t kind = 0;
-    std::uint8_t dir = 0;
-  };
   struct RecvDst {
     std::uint32_t dest = 0;  ///< internal site index
     std::uint16_t dir = 0;
   };
+
+  /// A maximal unit-stride stretch of strip writes: `len` consecutive
+  /// source slots landing in `len` consecutive destination slots.
+  struct StreamRun {
+    std::uint32_t srcK;  ///< first pass-relative source index of the run
+    std::uint32_t dst;   ///< destination index of that first site
+    std::uint32_t len;
+  };
+
+  /// A per-op action of the SIMD sweep: what is left once local pushes and
+  /// wall folds have become run copies.
+  enum class OpKind : std::uint8_t {
+    kSend,  ///< sendFlat_[index] = f*[dir]
+    kIolet  ///< fNext[dir][self] = iolet rule (index = iolet id)
+  };
+  struct BoundaryOp {
+    std::uint32_t index = 0;
+    std::uint8_t kind = 0;
+    std::uint8_t dir = 0;
+  };
+
+  /// Store tables of one SIMD sweep over the internal sites [begin, end).
+  /// Every run is cut at strip edges, so a strip drains its share with one
+  /// forward cursor per table.
+  struct SweepPass {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    /// Per direction: local pushes fNext[i][dst] = f*_i (index 0 unused —
+    /// the rest population stays on its own site).
+    std::array<std::vector<StreamRun>, kQ> pushRuns;
+    /// Per direction: halfway bounce-back folds fNext[i][l] =
+    /// f*_opposite(i)[l] (unit stride on both sides).
+    std::array<std::vector<StreamRun>, kQ> wallRuns;
+    /// Macro fields into external order (rho/u drain from the strip).
+    std::vector<StreamRun> macroRuns;
+    /// Halo sends and iolet rules, CSR over pass-relative sites.
+    std::vector<std::uint32_t> opStart;
+    std::vector<BoundaryOp> ops;
+  };
+
+  /// Append site k's `dst` to `runs`, extending the last run when both
+  /// sides stay unit-stride within one strip.
+  static void appendRun(std::vector<StreamRun>& runs, std::uint32_t k,
+                        std::uint32_t dst) {
+    if (!runs.empty() && k % kStripSites != 0) {
+      StreamRun& r = runs.back();
+      if (r.srcK + r.len == k && r.dst + r.len == dst) {
+        ++r.len;
+        return;
+      }
+    }
+    runs.push_back({k, dst, 1});
+  }
 
   void buildPullTable() {
     const auto& lat = domain_->lattice();
@@ -427,7 +443,11 @@ class Solver {
       }
     }
 
-    // --- internal ordering: frontier first (stable), bulk Morton-sorted --
+    // --- internal ordering: frontier first (stable), bulk row-major ------
+    // Row-major (x fastest): consecutive internal indices are then
+    // x-consecutive sites, so the per-direction push destinations
+    // decompose into long unit-stride runs the store pass retires as whole
+    // vectors (the propagation-optimised layout).
     reorder_.externalOf.clear();
     reorder_.externalOf.reserve(n);
     for (std::size_t e = 0; e < n; ++e) {
@@ -436,14 +456,7 @@ class Solver {
       }
     }
     reorder_.numFrontier = static_cast<std::uint32_t>(reorder_.externalOf.size());
-    // Bulk ordering: Morton for the scalar kernels (neighbour locality),
-    // row-major (x fastest) for the SIMD kernel — consecutive internal
-    // indices are then x-consecutive sites, so the per-direction push
-    // destinations decompose into long unit-stride runs the store pass can
-    // retire as whole vectors (the propagation-optimised layout).
-    const bool rowMajor = params_.kernel == LbParams::Kernel::kSimd;
-    const auto sortKey = [&](const Vec3i& p) -> std::uint64_t {
-      if (!rowMajor) return morton3(p);
+    const auto rowMajorKey = [](const Vec3i& p) -> std::uint64_t {
       return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.z))
               << 42) |
              (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.y))
@@ -455,7 +468,7 @@ class Solver {
     for (std::size_t e = 0; e < n; ++e) {
       if (!isFrontier[e]) {
         bulk.emplace_back(
-            sortKey(lat.sitePosition(
+            rowMajorKey(lat.sitePosition(
                 domain_->globalOf(static_cast<std::uint32_t>(e)))),
             static_cast<std::uint32_t>(e));
       }
@@ -468,9 +481,12 @@ class Solver {
           static_cast<std::uint32_t>(l);
     }
 
-    // --- pull table (reference kernel) + halo needs, internal order ------
-    for (int i = 1; i < kQ; ++i) {
-      pull_[static_cast<std::size_t>(i)].assign(n, PullSrc{});
+    // --- pull table (reference kernel only) + halo needs, internal order -
+    const bool reference = params_.kernel == LbParams::Kernel::kReference;
+    if (reference) {
+      for (int i = 1; i < kQ; ++i) {
+        pull_[static_cast<std::size_t>(i)].assign(n, PullSrc{});
+      }
     }
     // needs[r] = packed (globalUpstream * 32 + i) values this rank pulls
     // from rank r, in deterministic internal (site, velocity) order.
@@ -490,7 +506,7 @@ class Solver {
         const int gd = set.geoDir[static_cast<std::size_t>(i)];
         const int upDir = geometry::oppositeDirection(gd);
         const auto upstream = lat.neighborId(g, upDir);
-        auto& src = pull_[static_cast<std::size_t>(i)][l];
+        PullSrc src;
         if (upstream >= 0) {
           const int owner =
               domain_->ownerOf(static_cast<std::uint64_t>(upstream));
@@ -520,6 +536,7 @@ class Solver {
             src.index = link.ioletId;
           }
         }
+        if (reference) pull_[static_cast<std::size_t>(i)][l] = src;
       }
     }
 
@@ -535,7 +552,9 @@ class Solver {
     for (const auto& ref : recvRefs) {
       const std::uint32_t slot =
           recvOffset_[static_cast<std::size_t>(ref.owner)] + ref.pos;
-      pull_[static_cast<std::size_t>(ref.dir)][ref.site].index = slot;
+      if (reference) {
+        pull_[static_cast<std::size_t>(ref.dir)][ref.site].index = slot;
+      }
       recvDst_[slot] = {ref.site, ref.dir};
     }
     for (int r = 0; r < comm_->size(); ++r) {
@@ -576,150 +595,20 @@ class Solver {
     }
     sendFlat_.assign(sendTotal, 0.0);
 
-    buildFusedTables();
-    if (params_.kernel == LbParams::Kernel::kSimd) buildSimdRuns();
+    if (params_.kernel == LbParams::Kernel::kSimd) buildSweepPasses();
   }
 
-  /// Decompose the bulk push targets into unit-stride runs. For row-major
-  /// bulk ordering almost every destination advances in lockstep with the
-  /// source (dst[k+1] == dst[k]+1 whenever two x-consecutive sites stream
-  /// to two x-consecutive sites), so the streamed writes of the SIMD store
-  /// pass become a handful of contiguous vector copies per strip instead
-  /// of kQ scatter loops. Runs never cross strip boundaries — the store
-  /// pass drains them strip by strip with one cursor per direction.
-  void buildSimdRuns() {
+  /// Store tables of the SIMD kernel's two passes. The frontier pass
+  /// covers the frontier sites rounded up to a whole vector group (the
+  /// few bulk sites it absorbs only push locally), so the bulk pass starts
+  /// kWidth-aligned: the SoA planes are 64-byte aligned with a pitch that
+  /// is a multiple of kWidth doubles, so every group load is then a full
+  /// aligned vector.
+  void buildSweepPasses() {
     const std::uint32_t nf = reorder_.numFrontier;
     const auto n = static_cast<std::uint32_t>(domain_->numOwned());
     constexpr auto kW = static_cast<std::uint32_t>(simd::kWidth);
-    // Start the vector groups at the first kW-aligned bulk site: the SoA
-    // planes are 64-byte aligned with a pitch that is a multiple of kW
-    // doubles, so an aligned group index makes every per-plane group load
-    // a full aligned vector (an odd frontier count would otherwise split
-    // all 19 loads of every group across two cache lines). The few bulk
-    // sites before the aligned start take the scalar path.
-    simdVecStart_ = nf;
-    if (simdVecStart_ % kW != 0) simdVecStart_ += kW - simdVecStart_ % kW;
-    if (simdVecStart_ > n) simdVecStart_ = n;
-    const std::uint32_t nb = n - simdVecStart_;
-    simdVecSites_ = nb - nb % kW;
-    for (int i = 1; i < kQ; ++i) {
-      auto& runs = simdRuns_[static_cast<std::size_t>(i)];
-      runs.clear();
-      const std::uint32_t* dst =
-          push_[static_cast<std::size_t>(i)].data() + simdVecStart_;
-      for (std::uint32_t k = 0; k < simdVecSites_; ++k) {
-        if (k % kBulkStrip == 0 || dst[k] != dst[k - 1] + 1) {
-          runs.push_back({k, dst[k], 1});
-        } else {
-          ++runs.back().len;
-        }
-      }
-    }
-    bulkStrip_.assign(
-        static_cast<std::size_t>(kStripPlanes) * kBulkStrip, 0.0);
-
-    // Unit-stride runs over the external indices of the two vectorised
-    // ranges: the reorder preserves relative order, so extOf is strictly
-    // increasing with gaps where the other class' sites sit — the macro
-    // fields (external order) drain from the strip's moment planes as
-    // sequential bursts instead of a per-lane scatter.
-    const auto buildExtRuns = [&](std::vector<StreamRun>& runs,
-                                  std::uint32_t first, std::uint32_t count) {
-      runs.clear();
-      const std::uint32_t* ext = reorder_.externalOf.data() + first;
-      for (std::uint32_t k = 0; k < count; ++k) {
-        if (!runs.empty() && runs.back().srcK + runs.back().len == k &&
-            runs.back().dst + runs.back().len == ext[k] &&
-            k % kBulkStrip != 0) {
-          ++runs.back().len;
-        } else {
-          runs.push_back({k, ext[k], 1});
-        }
-      }
-    };
-    buildExtRuns(macroRunsBulk_, simdVecStart_, simdVecSites_);
-
-    // Frontier split for the SIMD path: local pushes become per-direction
-    // destination tables so the strips retire them without per-op
-    // dispatch, halfway-bounce-back wall folds (dst plane = op.dir, dst
-    // index = the site itself, src plane = the opposite direction — unit
-    // stride on both sides) become per-direction wall tables, and only
-    // the iolet/halo-send actions stay in a (much shorter) boundary-only
-    // CSR. The full CSR remains the scalar kernels' path. The vector
-    // tail [nfVec, nf) keeps everything in the CSR: it runs through the
-    // scalar processFrontierSite, which the strips never touch.
-    const std::uint32_t nfVec = nf - nf % kW;
-    buildExtRuns(macroRunsFrontier_, 0, nfVec);
-    std::array<std::vector<std::uint8_t>, kQ> wallAt;
-    for (int i = 1; i < kQ; ++i) {
-      frontierLocalDst_[static_cast<std::size_t>(i)].assign(nf, kNoDst);
-      wallAt[static_cast<std::size_t>(i)].assign(nf, 0);
-    }
-    frontierBoundaryStart_.assign(static_cast<std::size_t>(nf) + 1, 0);
-    frontierBoundaryOps_.clear();
-    for (std::uint32_t l = 0; l < nf; ++l) {
-      for (std::uint32_t k = frontierOpStart_[l]; k < frontierOpStart_[l + 1];
-           ++k) {
-        const FrontierOp op = frontierOps_[k];
-        if (static_cast<OpKind>(op.kind) == OpKind::kPushLocal) {
-          frontierLocalDst_[static_cast<std::size_t>(op.dir)][l] = op.index;
-        } else if (static_cast<OpKind>(op.kind) == OpKind::kWall &&
-                   l < nfVec) {
-          wallAt[static_cast<std::size_t>(op.dir)][l] = 1;
-        } else {
-          frontierBoundaryOps_.push_back(op);
-        }
-      }
-      frontierBoundaryStart_[l + 1] =
-          static_cast<std::uint32_t>(frontierBoundaryOps_.size());
-    }
-    for (int i = 1; i < kQ; ++i) {
-      auto& runs = frontierWallRuns_[static_cast<std::size_t>(i)];
-      runs.clear();
-      const std::uint8_t* at = wallAt[static_cast<std::size_t>(i)].data();
-      for (std::uint32_t k = 0; k < nfVec; ++k) {
-        if (!at[k]) continue;
-        if (!runs.empty() && runs.back().srcK + runs.back().len == k &&
-            k % kBulkStrip != 0) {
-          ++runs.back().len;
-        } else {
-          runs.push_back({k, k, 1});
-        }
-      }
-    }
-
-    // Unit-stride runs over the frontier dst tables, exactly like the
-    // bulk runs: consecutive frontier sites usually push to consecutive
-    // slots of the same plane, so the strips can retire them as
-    // sequential bursts instead of 18 interleaved element stores per
-    // site. kNoDst lanes (boundary ops) break runs, as do strip edges.
-    for (int i = 1; i < kQ; ++i) {
-      auto& runs = frontierRuns_[static_cast<std::size_t>(i)];
-      runs.clear();
-      const std::uint32_t* dst =
-          frontierLocalDst_[static_cast<std::size_t>(i)].data();
-      for (std::uint32_t k = 0; k < nfVec; ++k) {
-        if (dst[k] == kNoDst) continue;
-        if (!runs.empty() && runs.back().srcK + runs.back().len == k &&
-            runs.back().dst + runs.back().len == dst[k] &&
-            k % kBulkStrip != 0) {
-          ++runs.back().len;
-        } else {
-          runs.push_back({k, dst[k], 1});
-        }
-      }
-    }
-  }
-
-  /// Push tables for the fused kernel, derived from the same geometry/
-  /// ownership facts as the pull table: every (site, direction) value
-  /// either pushes to a local downstream slot, fills a send slot, or folds
-  /// back into the site itself through a wall/iolet rule.
-  void buildFusedTables() {
-    const auto& lat = domain_->lattice();
-    const auto& set = Lattice::kSet;
-    const std::size_t n = domain_->numOwned();
-    const std::uint32_t nf = reorder_.numFrontier;
+    const std::uint32_t split = std::min(n, (nf + kW - 1) / kW * kW);
 
     // (internal site * 32 + dir) -> flat send slot.
     std::unordered_map<std::uint64_t, std::uint32_t> sendSlotOf;
@@ -732,65 +621,67 @@ class Solver {
             static_cast<std::uint32_t>(sendFlatOffset_[p] + k));
       }
     }
+    buildSweepPass(frontierPass_, 0, split, sendSlotOf);
+    buildSweepPass(bulkPass_, split, n, sendSlotOf);
+    strip_.assign(static_cast<std::size_t>(kStripPlanes) * kStripSites, 0.0);
+  }
 
-    frontierOpStart_.assign(static_cast<std::size_t>(nf) + 1, 0);
-    frontierOps_.clear();
-    frontierOps_.reserve(static_cast<std::size_t>(nf) *
-                         static_cast<std::size_t>(kQ - 1));
-    for (int i = 1; i < kQ; ++i) {
-      push_[static_cast<std::size_t>(i)].assign(n, 0);
-    }
-
-    for (std::size_t l = 0; l < n; ++l) {
-      const std::uint64_t g = domain_->globalOf(reorder_.externalOf[l]);
+  /// Classify every outgoing population of the sites [begin, end): it
+  /// pushes to a local downstream slot, fills a halo send slot, or folds
+  /// back into the site itself through a wall or iolet rule.
+  void buildSweepPass(
+      SweepPass& pass, std::uint32_t begin, std::uint32_t end,
+      const std::unordered_map<std::uint64_t, std::uint32_t>& sendSlotOf) {
+    const auto& lat = domain_->lattice();
+    const auto& set = Lattice::kSet;
+    pass.begin = begin;
+    pass.end = end;
+    pass.opStart.assign(static_cast<std::size_t>(end - begin) + 1, 0);
+    for (std::uint32_t l = begin; l < end; ++l) {
+      const std::uint32_t k = l - begin;
+      const std::uint32_t ext = reorder_.externalOf[l];
+      const std::uint64_t g = domain_->globalOf(ext);
+      appendRun(pass.macroRuns, k, ext);
       for (int i = 1; i < kQ; ++i) {
         const int gd = set.geoDir[static_cast<std::size_t>(i)];
         const auto down = lat.neighborId(g, gd);
         if (down >= 0 &&
             domain_->ownerOf(static_cast<std::uint64_t>(down)) ==
                 domain_->rank()) {
-          const std::uint32_t dest =
-              reorder_.internalOf[static_cast<std::size_t>(
-                  domain_->localOf(static_cast<std::uint64_t>(down)))];
-          if (l < nf) {
-            frontierOps_.push_back({dest,
-                                    static_cast<std::uint8_t>(OpKind::kPushLocal),
-                                    static_cast<std::uint8_t>(i)});
-          } else {
-            push_[static_cast<std::size_t>(i)][l] = dest;
-          }
+          appendRun(pass.pushRuns[static_cast<std::size_t>(i)], k,
+                    reorder_.internalOf[static_cast<std::size_t>(
+                        domain_->localOf(static_cast<std::uint64_t>(down)))]);
           continue;
         }
-        HEMO_CHECK_MSG(l < nf, "bulk site with non-local downstream " << g);
+        // Only frontier sites may touch the halo or a boundary: the bulk
+        // pass runs after the halo sends are posted.
+        HEMO_CHECK_MSG(l < reorder_.numFrontier,
+                       "bulk site with non-local downstream " << g);
         if (down >= 0) {
           const auto it = sendSlotOf.find(static_cast<std::uint64_t>(l) * 32 +
                                           static_cast<std::uint64_t>(i));
           HEMO_CHECK_MSG(it != sendSlotOf.end(),
                          "missing halo send slot for site " << g);
-          frontierOps_.push_back({it->second,
-                                  static_cast<std::uint8_t>(OpKind::kSend),
-                                  static_cast<std::uint8_t>(i)});
+          pass.ops.push_back({it->second,
+                              static_cast<std::uint8_t>(OpKind::kSend),
+                              static_cast<std::uint8_t>(i)});
+          continue;
+        }
+        // The outgoing population hits a wall/iolet and folds back into
+        // this site along the opposite (incoming) direction — the push
+        // form of the pull table's kWall/kIolet rules.
+        const auto& link = lat.site(g).links[static_cast<std::size_t>(gd)];
+        const auto in = static_cast<std::size_t>(
+            set.opposite[static_cast<std::size_t>(i)]);
+        if (link.kind == geometry::LinkKind::kWall) {
+          appendRun(pass.wallRuns[in], k, l);
         } else {
-          // The outgoing population hits a wall/iolet and folds back into
-          // this site along the opposite (incoming) direction — the push
-          // form of the pull table's kWall/kIolet rules.
-          const auto& link = lat.site(g).links[static_cast<std::size_t>(gd)];
-          const auto in = static_cast<std::uint8_t>(
-              set.opposite[static_cast<std::size_t>(i)]);
-          if (link.kind == geometry::LinkKind::kWall) {
-            frontierOps_.push_back(
-                {0, static_cast<std::uint8_t>(OpKind::kWall), in});
-          } else {
-            frontierOps_.push_back({link.ioletId,
-                                    static_cast<std::uint8_t>(OpKind::kIolet),
-                                    in});
-          }
+          pass.ops.push_back({link.ioletId,
+                              static_cast<std::uint8_t>(OpKind::kIolet),
+                              static_cast<std::uint8_t>(in)});
         }
       }
-      if (l + 1 <= nf) {
-        frontierOpStart_[l + 1] =
-            static_cast<std::uint32_t>(frontierOps_.size());
-      }
+      pass.opStart[k + 1] = static_cast<std::uint32_t>(pass.ops.size());
     }
   }
 
@@ -947,16 +838,13 @@ class Solver {
     }
   }
 
-  // --- fused kernel ------------------------------------------------------
+  // --- SIMD kernel (SoA layout only) -------------------------------------
 
-  /// Raw hot-loop pointers, hoisted once per step. Direction i of site l
-  /// is fsrc[i][l * S] where S is the layout's site stride (1 for SoA, kQ
-  /// for AoS) — the kernels carry S as a template parameter so the common
-  /// SoA case compiles to plain unit-stride pointers.
+  /// Raw hot-loop pointers, hoisted once per step (SoA planes: direction i
+  /// of site l is fsrc[i][l]).
   struct SweepPtrs {
     const double* fsrc[kQ];
     double* fdst[kQ];
-    const std::uint32_t* pdst[kQ];
     const std::uint32_t* extOf;
     double* sendFlat;
   };
@@ -966,29 +854,21 @@ class Solver {
     for (int i = 0; i < kQ; ++i) {
       p.fsrc[i] = f_.dirBase(i);
       p.fdst[i] = fNext_.dirBase(i);
-      p.pdst[i] = push_[static_cast<std::size_t>(i)].data();
     }
     p.extOf = reorder_.externalOf.data();
     p.sendFlat = sendFlat_.data();
     return p;
   }
 
-  template <int S>
-  void stepFused() {
+  /// Frontier pass, halo sends, bulk pass while the messages are in
+  /// flight, then the receives drained straight into fNext.
+  void stepSimd() {
     const CollisionCtx ctx = collisionCtx();
     const SweepPtrs ptrs = sweepPtrs();
-    const auto n = static_cast<std::uint32_t>(domain_->numOwned());
-    const std::uint32_t nf = reorder_.numFrontier;
-
-    // Frontier pass: collide every boundary-coupled site, apply its wall/
-    // iolet rules, push its local-destination populations, and drop its
-    // outgoing halo populations into the persistent send buffers.
     {
       ScopedPhase phase(collideTimer_);
       HEMO_TSPAN(kCollide, "collide.frontier");
-      for (std::uint32_t l = 0; l < nf; ++l) {
-        processFrontierSite<S>(ctx, ptrs, l);
-      }
+      sweep(ctx, ptrs, frontierPass_, false);
     }
     // Post all halo sends (buffered, never block).
     {
@@ -1001,369 +881,11 @@ class Solver {
                          sendPlans_[p].entries.size() * sizeof(double));
       }
     }
-    // Bulk pass while the messages are in flight: branch-free fused
-    // collide+push over the Morton-sorted all-local sites. Sites are
-    // processed in blocks: each block is collided into an L1-resident
-    // buffer, then pushed direction-major so each fNext array is written
-    // in one near-sequential burst instead of kQ-way interleaved streams.
     {
       ScopedPhase phase(collideTimer_);
       ScopedWallPhase overlap(overlapTimer_);
       HEMO_TSPAN(kCollide, "collide.bulk");
-      double block[kBulkBlock * kQ];
-      for (std::uint32_t base = nf; base < n; base += kBulkBlock) {
-        const std::uint32_t count = std::min(kBulkBlock, n - base);
-        for (std::uint32_t k = 0; k < count; ++k) {
-          double* fl = block + k * kQ;
-          for (int i = 0; i < kQ; ++i) {
-            fl[i] = ptrs.fsrc[i][static_cast<std::size_t>(base + k) * S];
-          }
-          relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[base + k]));
-        }
-        {
-          double* out0 = ptrs.fdst[0];
-          for (std::uint32_t k = 0; k < count; ++k) {
-            out0[static_cast<std::size_t>(base + k) * S] = block[k * kQ];
-          }
-        }
-        for (int i = 1; i < kQ; ++i) {
-          const std::uint32_t* dst = ptrs.pdst[i] + base;
-          double* out = ptrs.fdst[i];
-          for (std::uint32_t k = 0; k < count; ++k) {
-            out[static_cast<std::size_t>(dst[k]) * S] =
-                block[k * kQ + static_cast<std::uint32_t>(i)];
-          }
-        }
-      }
-    }
-    // Receive and finish the frontier sites' incoming halo populations.
-    {
-      comm::Communicator::TrafficScope scope(*comm_, comm::Traffic::kHalo);
-      for (const int r : recvRanks_) {
-        const auto off = recvOffset_[static_cast<std::size_t>(r)];
-        const auto count =
-            recvOffset_[static_cast<std::size_t>(r) + 1] - off;
-        {
-          ScopedPhase cphase(commTimer_);
-          ScopedWallPhase wait(recvWaitTimer_);
-          HEMO_TSPAN(kHaloRecvWait, "halo.recv");
-          comm_->recvInto(r, kHaloTag, recvFlat_.data() + off, count);
-        }
-        ScopedPhase sphase(streamTimer_);
-        HEMO_TSPAN(kStream, "stream.scatter");
-        for (std::uint32_t k = off; k < off + count; ++k) {
-          const RecvDst d = recvDst_[k];
-          ptrs.fdst[d.dir][static_cast<std::size_t>(d.dest) * S] =
-              recvFlat_[k];
-        }
-      }
-    }
-  }
-
-  template <int S>
-  void processFrontierSite(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                           std::uint32_t l) {
-    double fl[kQ];
-    for (int i = 0; i < kQ; ++i) {
-      fl[i] = ptrs.fsrc[i][static_cast<std::size_t>(l) * S];
-    }
-    const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
-    relaxSite(ctx, fl, ext);
-    scatterFrontierOps<S>(ctx, ptrs, l, fl, 1);
-  }
-
-  /// Apply the CSR boundary/halo actions of frontier site l to its
-  /// post-collision populations fl[i * flStride] (flStride lets the SIMD
-  /// path scatter straight out of a direction-major strip buffer).
-  template <int S>
-  void scatterFrontierOps(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                          std::uint32_t l, const double* fl,
-                          std::size_t flStride) {
-    const auto& set = Lattice::kSet;
-    const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
-    ptrs.fdst[0][static_cast<std::size_t>(l) * S] = fl[0];
-    const std::uint32_t begin = frontierOpStart_[l];
-    const std::uint32_t end = frontierOpStart_[l + 1];
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const FrontierOp op = frontierOps_[k];
-      const auto dir = static_cast<std::size_t>(op.dir);
-      switch (static_cast<OpKind>(op.kind)) {
-        case OpKind::kPushLocal:
-          ptrs.fdst[dir][static_cast<std::size_t>(op.index) * S] =
-              fl[dir * flStride];
-          break;
-        case OpKind::kSend:
-          ptrs.sendFlat[static_cast<std::size_t>(op.index)] =
-              fl[dir * flStride];
-          break;
-        case OpKind::kWall:
-          // Halfway bounce-back off the vessel wall.
-          ptrs.fdst[dir][static_cast<std::size_t>(l) * S] =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          break;
-        case OpKind::kIolet: {
-          const auto id = static_cast<std::size_t>(op.index);
-          const Vec3d c = set.c[dir].template cast<double>();
-          const double w = set.w[dir];
-          const double bounce =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          if (ioletIsVelocityBc_[id]) {
-            // Ladd bounce-back off a "wall" moving at the prescribed
-            // iolet velocity: injects the target momentum flux.
-            const double rho = ctx.rhoOut[ext];
-            ptrs.fdst[dir][static_cast<std::size_t>(l) * S] =
-                bounce + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
-          } else {
-            // Anti-bounce-back pressure boundary at the prescribed
-            // density, using the site's own velocity as the boundary
-            // value.
-            const double rhoIo = ioletDensity_[id];
-            const Vec3d u = ctx.uOut[ext];
-            const double cu = c.dot(u);
-            ptrs.fdst[dir][static_cast<std::size_t>(l) * S] =
-                -bounce + 2.0 * w * rhoIo *
-                              (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  /// Boundary actions (wall/iolet/halo-send) of frontier site l in the
-  /// SIMD path — the local pushes were already retired direction-major
-  /// from the strip, so this walks the short boundary-only CSR. `fl`
-  /// holds the post-collision populations at stride flStride (the
-  /// direction-major strip buffer).
-  void scatterBoundaryOps(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                          std::uint32_t l, const double* fl,
-                          std::size_t flStride) {
-    const std::uint32_t begin = frontierBoundaryStart_[l];
-    const std::uint32_t end = frontierBoundaryStart_[l + 1];
-    if (begin == end) return;
-    const auto& set = Lattice::kSet;
-    const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const FrontierOp op = frontierBoundaryOps_[k];
-      const auto dir = static_cast<std::size_t>(op.dir);
-      switch (static_cast<OpKind>(op.kind)) {
-        case OpKind::kPushLocal:
-          break;  // never present in the boundary-only CSR
-        case OpKind::kSend:
-          ptrs.sendFlat[static_cast<std::size_t>(op.index)] =
-              fl[dir * flStride];
-          break;
-        case OpKind::kWall:
-          ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          break;
-        case OpKind::kIolet: {
-          const auto id = static_cast<std::size_t>(op.index);
-          const Vec3d c = set.c[dir].template cast<double>();
-          const double w = set.w[dir];
-          const double bounce =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          if (ioletIsVelocityBc_[id]) {
-            const double rho = ctx.rhoOut[ext];
-            ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-                bounce + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
-          } else {
-            const double rhoIo = ioletDensity_[id];
-            const Vec3d u = ctx.uOut[ext];
-            const double cu = c.dot(u);
-            ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-                -bounce + 2.0 * w * rhoIo *
-                              (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  // --- vectorised fused kernel (SoA layout only) -------------------------
-
-  /// A maximal unit-stride stretch of strip writes: `len` consecutive
-  /// source slots landing in `len` consecutive destination slots.
-  struct StreamRun {
-    std::uint32_t srcK;  ///< first vector-relative source index of the run
-    std::uint32_t dst;   ///< destination index of that first site
-    std::uint32_t len;
-  };
-
-  /// Retire this strip's share of the macro-field runs: rho as straight
-  /// copies, u re-interleaved to Vec3d — per run a single sequential
-  /// destination stream each.
-  void drainMacroRuns(const CollisionCtx& ctx,
-                      const std::vector<StreamRun>& runs, std::size_t& cur,
-                      const double* strip, std::uint32_t base,
-                      std::uint32_t stripEnd) {
-    const double* rhoS =
-        strip + static_cast<std::size_t>(kQ) * kBulkStrip - base;
-    const double* uxS =
-        strip + static_cast<std::size_t>(kQ + 1) * kBulkStrip - base;
-    const double* uyS =
-        strip + static_cast<std::size_t>(kQ + 2) * kBulkStrip - base;
-    const double* uzS =
-        strip + static_cast<std::size_t>(kQ + 3) * kBulkStrip - base;
-    while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-      const StreamRun r = runs[cur];
-      simd::copyDoubles(ctx.rhoOut + r.dst, rhoS + r.srcK, r.len, false);
-      Vec3d* u = ctx.uOut + r.dst;
-      for (std::uint32_t k = 0; k < r.len; ++k) {
-        u[k] = Vec3d{uxS[r.srcK + k], uyS[r.srcK + k], uzS[r.srcK + k]};
-      }
-      ++cur;
-    }
-  }
-
-  /// stepFused with both sweeps rewritten as SIMD strips: collision runs
-  /// kBulkStrip sites at a time into a direction-major L2 buffer and the
-  /// streamed writes retire as unit-stride runs, one direction at a time.
-  /// Frontier boundary actions (walls/iolets/halo sends) and the
-  /// sub-group tails keep the scalar path (branchy minority).
-  void stepSimd() {
-    const CollisionCtx ctx = collisionCtx();
-    const SweepPtrs ptrs = sweepPtrs();
-    const auto n = static_cast<std::uint32_t>(domain_->numOwned());
-    const std::uint32_t nf = reorder_.numFrontier;
-
-    constexpr auto kW = static_cast<std::uint32_t>(simd::kWidth);
-    // Frontier pass: collision is uniform, so it vectorises exactly like
-    // the bulk (frontier sites are contiguous at the front of every
-    // plane). Local pushes retire direction-major through the dst tables;
-    // only the boundary-only CSR (walls/iolets/halo sends) needs per-op
-    // dispatch.
-    {
-      ScopedPhase phase(collideTimer_);
-      HEMO_TSPAN(kCollide, "collide.frontier");
-      const std::uint32_t nfVec = nf - nf % kW;
-      double* strip = bulkStrip_.data();
-      runCursor_.fill(0);
-      wallCursor_.fill(0);
-      macroCursor_ = 0;
-      for (std::uint32_t base = 0; base < nfVec; base += kBulkStrip) {
-        const std::uint32_t cnt = std::min(kBulkStrip, nfVec - base);
-        collideStripSimd(ctx, ptrs, base, cnt, strip, kBulkStrip);
-        // Macro fields first: the iolet boundary ops below read them.
-        drainMacroRuns(ctx, macroRunsFrontier_, macroCursor_, strip, base,
-                       base + cnt);
-        // Rest population: destination is the site itself.
-        simd::copyDoubles(ptrs.fdst[0] + base, strip, cnt, false);
-        // Local pushes: drain each direction's unit-stride runs (kNoDst
-        // lanes — the boundary ops — sit in the gaps between runs).
-        const std::uint32_t stripEnd = base + cnt;
-        for (int i = 1; i < kQ; ++i) {
-          const auto& runs = frontierRuns_[static_cast<std::size_t>(i)];
-          std::size_t& cur = runCursor_[static_cast<std::size_t>(i)];
-          const double* src =
-              strip + static_cast<std::size_t>(i) * kBulkStrip - base;
-          while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-            const StreamRun r = runs[cur];
-            simd::copyDoubles(ptrs.fdst[i] + r.dst, src + r.srcK, r.len,
-                              false);
-            ++cur;
-          }
-        }
-        // Wall folds: fdst[i][l] = post-collision opposite(i) population
-        // of site l — unit stride on both sides, drained the same way.
-        for (int i = 1; i < kQ; ++i) {
-          const auto& runs = frontierWallRuns_[static_cast<std::size_t>(i)];
-          std::size_t& cur = wallCursor_[static_cast<std::size_t>(i)];
-          const double* src =
-              strip +
-              static_cast<std::size_t>(
-                  Lattice::kSet.opposite[static_cast<std::size_t>(i)]) *
-                  kBulkStrip -
-              base;
-          while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-            const StreamRun r = runs[cur];
-            simd::copyDoubles(ptrs.fdst[i] + r.dst, src + r.srcK, r.len,
-                              false);
-            ++cur;
-          }
-        }
-        // Boundary CSR (iolets/halo sends only): most strips of a large
-        // domain have an empty range — the offsets are monotone, so one
-        // compare skips the whole per-site walk.
-        if (frontierBoundaryStart_[base] != frontierBoundaryStart_[stripEnd]) {
-          for (std::uint32_t k = 0; k < cnt; ++k) {
-            scatterBoundaryOps(ctx, ptrs, base + k, strip + k, kBulkStrip);
-          }
-        }
-      }
-      for (std::uint32_t l = nfVec; l < nf; ++l) {
-        processFrontierSite<1>(ctx, ptrs, l);
-      }
-    }
-    {
-      ScopedPhase phase(commTimer_);
-      HEMO_TSPAN(kHaloSend, "halo.send");
-      comm::Communicator::TrafficScope scope(*comm_, comm::Traffic::kHalo);
-      for (std::size_t p = 0; p < sendPlans_.size(); ++p) {
-        comm_->sendBytes(sendPlans_[p].dest, kHaloTag,
-                         sendFlat_.data() + sendFlatOffset_[p],
-                         sendPlans_[p].entries.size() * sizeof(double));
-      }
-    }
-    {
-      ScopedPhase phase(collideTimer_);
-      ScopedWallPhase overlap(overlapTimer_);
-      HEMO_TSPAN(kCollide, "collide.simd");
-      // Head: bulk sites before the aligned vector start (scalar push).
-      for (std::uint32_t l = nf; l < simdVecStart_; ++l) {
-        double fl[kQ];
-        for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
-        relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[l]));
-        ptrs.fdst[0][l] = fl[0];
-        for (int i = 1; i < kQ; ++i) {
-          ptrs.fdst[i][ptrs.pdst[i][l]] = fl[i];
-        }
-      }
-      // Aligned bulk: collide whole strips into the direction-major
-      // buffer, then retire each direction's unit-stride runs one stream
-      // at a time. Interleaving the 19 write streams store-by-store
-      // defeats the core's full-line write combining (measured ~9x lower
-      // write bandwidth), so the drain keeps exactly one destination
-      // stream hot; with useNt_ the copies stream past the cache instead.
-      runCursor_.fill(0);
-      macroCursor_ = 0;
-      double* strip = bulkStrip_.data();
-      for (std::uint32_t base = 0; base < simdVecSites_; base += kBulkStrip) {
-        const std::uint32_t cnt = std::min(kBulkStrip, simdVecSites_ - base);
-        collideStripSimd(ctx, ptrs, simdVecStart_ + base, cnt, strip,
-                         kBulkStrip);
-        drainMacroRuns(ctx, macroRunsBulk_, macroCursor_, strip, base,
-                       base + cnt);
-        // Rest population: destination is the site itself — one
-        // contiguous copy per strip.
-        simd::copyDoubles(ptrs.fdst[0] + simdVecStart_ + base, strip, cnt,
-                          useNt_);
-        // Moving populations: drain this strip's unit-stride runs.
-        const std::uint32_t stripEnd = base + cnt;
-        for (int i = 1; i < kQ; ++i) {
-          const auto& runs = simdRuns_[static_cast<std::size_t>(i)];
-          std::size_t& cur = runCursor_[static_cast<std::size_t>(i)];
-          const double* src =
-              strip + static_cast<std::size_t>(i) * kBulkStrip - base;
-          while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-            const StreamRun r = runs[cur];
-            simd::copyDoubles(ptrs.fdst[i] + r.dst, src + r.srcK, r.len,
-                              useNt_ && r.len >= 2 * simd::kWidth);
-            ++cur;
-          }
-        }
-      }
-      // Sub-group tail: scalar fused push (bulk sites are all-local).
-      for (std::uint32_t l = simdVecStart_ + simdVecSites_; l < n; ++l) {
-        double fl[kQ];
-        for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
-        relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[l]));
-        ptrs.fdst[0][l] = fl[0];
-        for (int i = 1; i < kQ; ++i) {
-          ptrs.fdst[i][ptrs.pdst[i][l]] = fl[i];
-        }
-      }
+      sweep(ctx, ptrs, bulkPass_, useNt_);
       if (useNt_) simd::storeFence();
     }
     {
@@ -1388,6 +910,125 @@ class Solver {
     }
   }
 
+  /// One pass: collide a strip of sites into the direction-major buffer,
+  /// then retire it table by table. Interleaving the kQ write streams
+  /// store-by-store defeats the core's full-line write combining
+  /// (measured ~9x lower write bandwidth), so each drain keeps exactly one
+  /// destination stream hot; with `nt` the long copies stream past the
+  /// cache instead.
+  void sweep(const CollisionCtx& ctx, const SweepPtrs& ptrs,
+             const SweepPass& pass, bool nt) {
+    double* strip = strip_.data();
+    std::array<std::size_t, kQ> pushCur{};
+    std::array<std::size_t, kQ> wallCur{};
+    std::size_t macroCur = 0;
+    const std::uint32_t count = pass.end - pass.begin;
+    for (std::uint32_t base = 0; base < count; base += kStripSites) {
+      const std::uint32_t cnt = std::min(kStripSites, count - base);
+      const std::uint32_t stripEnd = base + cnt;
+      collideStrip(ctx, ptrs, pass.begin + base, cnt, strip);
+      // Macro fields first: the iolet rules below read them.
+      drainMacroRuns(ctx, pass.macroRuns, macroCur, strip, base, stripEnd);
+      // Rest population: destination is the site itself.
+      simd::copyDoubles(ptrs.fdst[0] + pass.begin + base, strip, cnt, nt);
+      for (int i = 1; i < kQ; ++i) {
+        const auto d = static_cast<std::size_t>(i);
+        drainRuns(pass.pushRuns[d], pushCur[d], ptrs.fdst[i],
+                  strip + d * kStripSites - base, stripEnd, nt);
+        drainRuns(pass.wallRuns[d], wallCur[d], ptrs.fdst[i],
+                  strip +
+                      static_cast<std::size_t>(Lattice::kSet.opposite[d]) *
+                          kStripSites -
+                      base,
+                  stripEnd, nt);
+      }
+      // Halo sends and iolet rules: most strips of a large domain have an
+      // empty range — the offsets are monotone, so one compare skips the
+      // whole per-site walk.
+      if (pass.opStart[base] != pass.opStart[stripEnd]) {
+        for (std::uint32_t k = 0; k < cnt; ++k) {
+          applyBoundaryOps(ctx, ptrs, pass, base + k, strip + k);
+        }
+      }
+    }
+  }
+
+  /// Copy this strip's share of `runs` from `src` (indexed by
+  /// pass-relative site) into `dst`.
+  static void drainRuns(const std::vector<StreamRun>& runs, std::size_t& cur,
+                        double* dst, const double* src, std::uint32_t stripEnd,
+                        bool nt) {
+    while (cur < runs.size() && runs[cur].srcK < stripEnd) {
+      const StreamRun r = runs[cur];
+      simd::copyDoubles(dst + r.dst, src + r.srcK, r.len,
+                        nt && r.len >= 2 * simd::kWidth);
+      ++cur;
+    }
+  }
+
+  /// Retire this strip's share of the macro-field runs: rho as straight
+  /// copies, u re-interleaved to Vec3d — per run a single sequential
+  /// destination stream each.
+  void drainMacroRuns(const CollisionCtx& ctx,
+                      const std::vector<StreamRun>& runs, std::size_t& cur,
+                      const double* strip, std::uint32_t base,
+                      std::uint32_t stripEnd) {
+    const double* rhoS =
+        strip + static_cast<std::size_t>(kQ) * kStripSites - base;
+    const double* uxS =
+        strip + static_cast<std::size_t>(kQ + 1) * kStripSites - base;
+    const double* uyS =
+        strip + static_cast<std::size_t>(kQ + 2) * kStripSites - base;
+    const double* uzS =
+        strip + static_cast<std::size_t>(kQ + 3) * kStripSites - base;
+    while (cur < runs.size() && runs[cur].srcK < stripEnd) {
+      const StreamRun r = runs[cur];
+      simd::copyDoubles(ctx.rhoOut + r.dst, rhoS + r.srcK, r.len, false);
+      Vec3d* u = ctx.uOut + r.dst;
+      for (std::uint32_t k = 0; k < r.len; ++k) {
+        u[k] = Vec3d{uxS[r.srcK + k], uyS[r.srcK + k], uzS[r.srcK + k]};
+      }
+      ++cur;
+    }
+  }
+
+  /// Halo sends and iolet rules of pass-relative site k, whose
+  /// post-collision populations sit at fl[i * kStripSites].
+  void applyBoundaryOps(const CollisionCtx& ctx, const SweepPtrs& ptrs,
+                        const SweepPass& pass, std::uint32_t k,
+                        const double* fl) {
+    const auto& set = Lattice::kSet;
+    const std::size_t l = pass.begin + k;
+    const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
+    for (std::uint32_t o = pass.opStart[k]; o < pass.opStart[k + 1]; ++o) {
+      const BoundaryOp op = pass.ops[o];
+      const auto dir = static_cast<std::size_t>(op.dir);
+      if (static_cast<OpKind>(op.kind) == OpKind::kSend) {
+        ptrs.sendFlat[op.index] = fl[dir * kStripSites];
+        continue;
+      }
+      const auto id = static_cast<std::size_t>(op.index);
+      const Vec3d c = set.c[dir].template cast<double>();
+      const double w = set.w[dir];
+      const double bounce =
+          fl[static_cast<std::size_t>(set.opposite[dir]) * kStripSites];
+      if (ioletIsVelocityBc_[id]) {
+        // Ladd bounce-back off a "wall" moving at the prescribed iolet
+        // velocity: injects the target momentum flux.
+        ptrs.fdst[dir][l] =
+            bounce + 6.0 * w * ctx.rhoOut[ext] * c.dot(ioletVelocity_[id]);
+      } else {
+        // Anti-bounce-back pressure boundary at the prescribed density,
+        // using the site's own velocity as the boundary value.
+        const double rhoIo = ioletDensity_[id];
+        const Vec3d u = ctx.uOut[ext];
+        const double cu = c.dot(u);
+        ptrs.fdst[dir][l] =
+            -bounce + 2.0 * w * rhoIo * (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
+      }
+    }
+  }
+
   /// One vector group of post-collision populations (lane w = site s0+w).
   struct VecGroup {
     simd::VecD f[kQ];
@@ -1401,11 +1042,11 @@ class Solver {
   /// Collide simd::kWidth consecutive sites starting at s0 (SoA planes,
   /// unit stride, s0 a multiple of simd::kWidth so every plane load is an
   /// aligned full vector) into g. Per lane the arithmetic replicates
-  /// relaxSite() operation for operation, so the trajectories of kSimd
-  /// and kFused agree to round-off (the paired equivalence tests hold
-  /// 1e-12 over 100 steps). Stress/forcing are hoisted to template
-  /// parameters — with 19 live population vectors the register file is
-  /// full, and per-direction runtime branches are measurable.
+  /// relaxSite() operation for operation (FMA contraction aside), so the
+  /// vector groups and the scalar strip remainder agree to round-off.
+  /// Stress/forcing are hoisted to template parameters — with 19 live
+  /// population vectors the register file is full, and per-direction
+  /// runtime branches are measurable.
   void collideGroupSimd(const CollisionCtx& ctx, const SweepPtrs& ptrs,
                         std::size_t s0, VecGroup& g) {
     if (ctx.stress) {
@@ -1596,34 +1237,45 @@ class Solver {
     }
   }
 
-  /// Collide `count` sites (a multiple of simd::kWidth, at most `stride`;
-  /// site0 itself a multiple of simd::kWidth) from site0 into the
-  /// direction-major buffer strip[i*stride + k].
-  void collideStripSimd(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                        std::uint32_t site0, std::uint32_t count,
-                        double* strip, std::uint32_t stride) {
+  /// Collide `count` (at most kStripSites) sites from site0 (a multiple
+  /// of simd::kWidth) into the direction-major buffer
+  /// strip[i * kStripSites + k]: whole vector groups, then a scalar
+  /// remainder of fewer than simd::kWidth sites at the end of a pass.
+  void collideStrip(const CollisionCtx& ctx, const SweepPtrs& ptrs,
+                    std::uint32_t site0, std::uint32_t count, double* strip) {
+    constexpr auto kW = static_cast<std::uint32_t>(simd::kWidth);
+    const auto plane = [&](int i) {
+      return strip + static_cast<std::size_t>(i) * kStripSites;
+    };
+    const std::uint32_t vecCount = count - count % kW;
     VecGroup g;
-    for (std::uint32_t k = 0; k < count;
-         k += static_cast<std::uint32_t>(simd::kWidth)) {
+    for (std::uint32_t k = 0; k < vecCount; k += kW) {
       collideGroupSimd(ctx, ptrs, site0 + k, g);
-      for (int i = 0; i < kQ; ++i) {
-        simd::store(strip + static_cast<std::size_t>(i) * stride + k,
-                    g.f[i]);
-      }
-      simd::store(strip + static_cast<std::size_t>(kQ) * stride + k, g.rho);
-      simd::store(strip + static_cast<std::size_t>(kQ + 1) * stride + k,
-                  g.ux);
-      simd::store(strip + static_cast<std::size_t>(kQ + 2) * stride + k,
-                  g.uy);
-      simd::store(strip + static_cast<std::size_t>(kQ + 3) * stride + k,
-                  g.uz);
+      for (int i = 0; i < kQ; ++i) simd::store(plane(i) + k, g.f[i]);
+      simd::store(plane(kQ) + k, g.rho);
+      simd::store(plane(kQ + 1) + k, g.ux);
+      simd::store(plane(kQ + 2) + k, g.uy);
+      simd::store(plane(kQ + 3) + k, g.uz);
+    }
+    for (std::uint32_t k = vecCount; k < count; ++k) {
+      const std::size_t l = site0 + k;
+      const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
+      double fl[kQ];
+      for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
+      relaxSite(ctx, fl, ext);
+      for (int i = 0; i < kQ; ++i) plane(i)[k] = fl[i];
+      const Vec3d u = ctx.uOut[ext];
+      plane(kQ)[k] = ctx.rhoOut[ext];
+      plane(kQ + 1)[k] = u.x;
+      plane(kQ + 2)[k] = u.y;
+      plane(kQ + 3)[k] = u.z;
     }
   }
 
   // --- reference three-phase kernel --------------------------------------
-  // The pre-fusion hot path, preserved as the performance and correctness
-  // baseline: Vec3-based collision arithmetic exactly as the original
-  // collide() computed it, blocking halo exchange, then a pull-stream.
+  // The pre-fusion hot path, preserved as the correctness oracle:
+  // Vec3-based collision arithmetic exactly as the original collide()
+  // computed it, blocking halo exchange, then a pull-stream.
 
   void relaxSiteReference(const CollisionCtx& ctx, double* fl,
                           std::size_t ext) {
@@ -1840,39 +1492,15 @@ class Solver {
   /// layout-agnostic DistField (SoA planes or AoS records).
   DistField<kQ> f_;
   DistField<kQ> fNext_;
-  /// Unit-stride push-destination runs of the SIMD bulk sweep: within each
-  /// kBulkStrip strip, consecutive bulk sites of direction i stream to
-  /// consecutive fNext slots (row-major bulk order makes these runs long).
-  std::array<std::vector<StreamRun>, kQ> simdRuns_;
-  std::array<std::size_t, kQ> runCursor_{};
-  std::uint32_t simdVecStart_ = 0;  ///< first (kWidth-aligned) vector site
-  std::uint32_t simdVecSites_ = 0;  ///< bulk sites covered by vector groups
-  simd::AVector<double> bulkStrip_;  ///< direction-major bulk store strip
-  bool useNt_ = false;               ///< resolved NtStores policy
-  /// SIMD frontier split: per direction, the local push destination of
-  /// each frontier site (kNoDst when that lane is a boundary op), plus
-  /// the boundary-only CSR the per-op dispatch shrinks to.
-  static constexpr std::uint32_t kNoDst = 0xFFFFFFFFu;
-  std::array<std::vector<std::uint32_t>, kQ> frontierLocalDst_;
-  std::vector<std::uint32_t> frontierBoundaryStart_;
-  std::vector<FrontierOp> frontierBoundaryOps_;
-  /// Unit-stride runs over frontierLocalDst_ (same shape as simdRuns_),
-  /// plus the wall-fold runs (srcK == dst: the site folds into itself)
-  /// and their per-direction drain cursors.
-  std::array<std::vector<StreamRun>, kQ> frontierRuns_;
-  std::array<std::vector<StreamRun>, kQ> frontierWallRuns_;
-  std::array<std::size_t, kQ> wallCursor_{};
-  /// Unit-stride macro-field runs (srcK internal-relative, dst external).
-  std::vector<StreamRun> macroRunsFrontier_;
-  std::vector<StreamRun> macroRunsBulk_;
-  std::size_t macroCursor_ = 0;
+  /// SIMD kernel: store tables of the frontier and bulk passes, the
+  /// direction-major strip buffer both collide into, and whether the bulk
+  /// stores stream past the cache.
+  SweepPass frontierPass_;
+  SweepPass bulkPass_;
+  simd::AVector<double> strip_;
+  bool useNt_ = false;
   /// Pull table (reference kernel), internal order.
   std::array<std::vector<PullSrc>, kQ> pull_;
-  /// Local push targets per direction (fused kernel, bulk range only).
-  std::array<std::vector<std::uint32_t>, kQ> push_;
-  /// Fused boundary/halo actions of the frontier sites (CSR).
-  std::vector<std::uint32_t> frontierOpStart_;
-  std::vector<FrontierOp> frontierOps_;
 
   std::vector<SendPlan> sendPlans_;
   /// Persistent flat send storage; plan p owns [sendFlatOffset_[p], ...).
@@ -1881,7 +1509,7 @@ class Solver {
   std::vector<int> recvRanks_;
   std::vector<std::uint32_t> recvOffset_;
   std::vector<double> recvFlat_;
-  /// fNext destination of each flat receive slot (fused kernel scatter).
+  /// fNext destination of each flat receive slot (SIMD kernel scatter).
   std::vector<RecvDst> recvDst_;
 
   /// Macroscopic fields in external (DomainMap) site order.

@@ -341,6 +341,46 @@ TEST(Driver, StatusConsistencyChecks) {
   });
 }
 
+TEST(Driver, GoldenAneurysmRunMatchesRecordedValues) {
+  // A fixed 200-step aneurysm run through the driver on 2 ranks. The
+  // expected values were recorded with the scalar fused kernel that was
+  // the driver default before the SIMD kernel took over, so this pins the
+  // driver-level physics across kernel changes. Kernels agree to 1e-12 per
+  // site on every field (test_lb_fused), which bounds the admissible
+  // drift: 1e-12 per site summed for the mass, 1e-12 for a field maximum.
+  constexpr double kMass = 1252.0000310501832;
+  constexpr double kPeakSpeed = 0.00044853523245532432;
+  constexpr double kPeakWss = 2.3310247418266764e-05;
+  constexpr double kFieldTol = 1e-12;
+
+  const auto lat = aneurysmLattice(0.25);
+  ASSERT_EQ(lat.numFluidSites(), 1252u);
+  PreprocessConfig cfg;
+  const auto pre = preprocess(lat, 2, cfg);
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, pre.partition, comm.rank());
+    DriverConfig dcfg;
+    dcfg.lb.tau = 0.8;
+    dcfg.lb.bodyForce = {1e-5, 0, 0};
+    dcfg.lb.computeStress = true;
+    dcfg.visEvery = 0;
+    dcfg.statusEvery = 0;
+    dcfg.render.width = 16;
+    dcfg.render.height = 16;
+    SimulationDriver driver(domain, comm, dcfg);
+    ASSERT_EQ(driver.run(200), 200);
+    driver.runPipelineNow();
+    const auto status = driver.computeStatus();
+    const auto& out = driver.lastOutputs();
+    EXPECT_NEAR(status.totalMass, kMass,
+                static_cast<double>(lat.numFluidSites()) * kFieldTol);
+    EXPECT_NEAR(out.maxSpeed, kPeakSpeed, kFieldTol);
+    EXPECT_NEAR(status.maxSpeed, kPeakSpeed, kFieldTol);
+    EXPECT_NEAR(out.maxWss, kPeakWss, kFieldTol);
+  });
+}
+
 TEST(Driver, RequiresStressForWss) {
   const auto lat = aneurysmLattice(0.35);
   PreprocessConfig cfg;

@@ -131,6 +131,11 @@ SparseLattice poiseuilleTube(double voxel = 0.125) {
   return geometry::voxelize(geometry::makeStraightTube(4.0, 1.0), opt);
 }
 
+/// The production kernel and the reference oracle. The analytic checks
+/// run on both, so neither can drift from the physics unnoticed.
+constexpr LbParams::Kernel kKernels[] = {LbParams::Kernel::kReference,
+                                         LbParams::Kernel::kSimd};
+
 // --- conservation -----------------------------------------------------------
 
 TEST(Conservation, ClosedCavityMassExact) {
@@ -189,31 +194,35 @@ TEST(Poiseuille, BodyForceProfileMatchesParabola) {
   const double F = 1e-5;
   params.bodyForce = {F, 0, 0};
 
-  const auto field = runGathered(lattice, 2, params, 2500);
+  for (const auto kernel : kKernels) {
+    params.kernel = kernel;
+    SCOPED_TRACE(params.kernelName());
+    const auto field = runGathered(lattice, 2, params, 2500);
 
-  // Sample the cross-section at mid-tube; compare with
-  // u(r) = F (R^2 - r^2) / (4 nu) in lattice units.
-  const double h = lattice.voxelSize();
-  const double nu = params.viscosity();
-  const double Rworld = 1.0;
-  const double R = Rworld / h;
-  const double uMaxTheory = F * R * R / (4.0 * nu);
+    // Sample the cross-section at mid-tube; compare with
+    // u(r) = F (R^2 - r^2) / (4 nu) in lattice units.
+    const double h = lattice.voxelSize();
+    const double nu = params.viscosity();
+    const double Rworld = 1.0;
+    const double R = Rworld / h;
+    const double uMaxTheory = F * R * R / (4.0 * nu);
 
-  double uMaxMeasured = 0.0;
-  RunningStats relError;
-  for (std::uint64_t g = 0; g < lattice.numFluidSites(); ++g) {
-    const Vec3d w = lattice.siteWorld(g);
-    if (std::abs(w.x - 2.0) > h) continue;  // mid-tube slab
-    const double r = std::sqrt(w.y * w.y + w.z * w.z) / h;
-    if (r > R - 2.0) continue;  // skip the staircase boundary layer
-    const double expect = F * (R * R - r * r) / (4.0 * nu);
-    const double got = field.u[static_cast<std::size_t>(g)].x;
-    uMaxMeasured = std::max(uMaxMeasured, got);
-    relError.add(std::abs(got - expect) / uMaxTheory);
+    double uMaxMeasured = 0.0;
+    RunningStats relError;
+    for (std::uint64_t g = 0; g < lattice.numFluidSites(); ++g) {
+      const Vec3d w = lattice.siteWorld(g);
+      if (std::abs(w.x - 2.0) > h) continue;  // mid-tube slab
+      const double r = std::sqrt(w.y * w.y + w.z * w.z) / h;
+      if (r > R - 2.0) continue;  // skip the staircase boundary layer
+      const double expect = F * (R * R - r * r) / (4.0 * nu);
+      const double got = field.u[static_cast<std::size_t>(g)].x;
+      uMaxMeasured = std::max(uMaxMeasured, got);
+      relError.add(std::abs(got - expect) / uMaxTheory);
+    }
+    ASSERT_GT(relError.count(), 50u);
+    EXPECT_NEAR(uMaxMeasured / uMaxTheory, 1.0, 0.15);
+    EXPECT_LT(relError.mean(), 0.10);
   }
-  ASSERT_GT(relError.count(), 50u);
-  EXPECT_NEAR(uMaxMeasured / uMaxTheory, 1.0, 0.15);
-  EXPECT_LT(relError.mean(), 0.10);
 }
 
 TEST(Poiseuille, TransverseVelocityNegligible) {
@@ -221,14 +230,18 @@ TEST(Poiseuille, TransverseVelocityNegligible) {
   LbParams params;
   params.tau = 0.8;
   params.bodyForce = {1e-5, 0, 0};
-  const auto field = runGathered(lattice, 2, params, 1200);
-  double maxAxial = 0.0, maxTransverse = 0.0;
-  for (const auto& u : field.u) {
-    maxAxial = std::max(maxAxial, std::abs(u.x));
-    maxTransverse =
-        std::max({maxTransverse, std::abs(u.y), std::abs(u.z)});
+  for (const auto kernel : kKernels) {
+    params.kernel = kernel;
+    SCOPED_TRACE(params.kernelName());
+    const auto field = runGathered(lattice, 2, params, 1200);
+    double maxAxial = 0.0, maxTransverse = 0.0;
+    for (const auto& u : field.u) {
+      maxAxial = std::max(maxAxial, std::abs(u.x));
+      maxTransverse =
+          std::max({maxTransverse, std::abs(u.y), std::abs(u.z)});
+    }
+    EXPECT_LT(maxTransverse, 0.12 * maxAxial);
   }
-  EXPECT_LT(maxTransverse, 0.12 * maxAxial);
 }
 
 TEST(Poiseuille, PressureDrivenFlowFollowsGradient) {
@@ -253,12 +266,16 @@ TEST(Poiseuille, PressureDrivenFlowFollowsGradient) {
     return flux;
   };
 
-  const double f1 = fluxWith(0.001);
-  const double f2 = fluxWith(0.002);
-  EXPECT_GT(f1, 0.0);
-  EXPECT_GT(f2, 1.5 * f1);  // roughly linear in the pressure drop
-  const double fr = fluxWith(-0.001);
-  EXPECT_LT(fr, 0.0);  // reversed gradient reverses the flow
+  for (const auto kernel : kKernels) {
+    params.kernel = kernel;
+    SCOPED_TRACE(params.kernelName());
+    const double f1 = fluxWith(0.001);
+    const double f2 = fluxWith(0.002);
+    EXPECT_GT(f1, 0.0);
+    EXPECT_GT(f2, 1.5 * f1);  // roughly linear in the pressure drop
+    const double fr = fluxWith(-0.001);
+    EXPECT_LT(fr, 0.0);  // reversed gradient reverses the flow
+  }
 }
 
 // --- partition invariance -----------------------------------------------------
@@ -364,14 +381,18 @@ TEST(Lattice27, ProfileAgreesWithD3Q19) {
   LbParams params;
   params.tau = 0.8;
   params.bodyForce = {1e-5, 0, 0};
-  const auto a = runGathered<D3Q19>(lattice, 2, params, 800);
-  const auto b = runGathered<D3Q27>(lattice, 2, params, 800);
-  double num = 0.0, den = 0.0;
-  for (std::size_t g = 0; g < a.u.size(); ++g) {
-    num += (a.u[g] - b.u[g]).norm2();
-    den += a.u[g].norm2();
+  for (const auto kernel : kKernels) {
+    params.kernel = kernel;
+    SCOPED_TRACE(params.kernelName());
+    const auto a = runGathered<D3Q19>(lattice, 2, params, 800);
+    const auto b = runGathered<D3Q27>(lattice, 2, params, 800);
+    double num = 0.0, den = 0.0;
+    for (std::size_t g = 0; g < a.u.size(); ++g) {
+      num += (a.u[g] - b.u[g]).norm2();
+      den += a.u[g].norm2();
+    }
+    EXPECT_LT(std::sqrt(num / den), 0.05);
   }
-  EXPECT_LT(std::sqrt(num / den), 0.05);
 }
 
 TEST(Lattice15, RunsStablyOnTube) {
@@ -379,14 +400,18 @@ TEST(Lattice15, RunsStablyOnTube) {
   LbParams params;
   params.tau = 0.8;
   params.bodyForce = {1e-5, 0, 0};
-  const auto f = runGathered<D3Q15>(lattice, 2, params, 400);
-  double maxU = 0.0;
-  for (const auto& u : f.u) maxU = std::max(maxU, u.norm());
-  EXPECT_GT(maxU, 0.0);
-  EXPECT_LT(maxU, 0.1);  // stable, low Mach
-  for (const double r : f.rho) {
-    EXPECT_GT(r, 0.8);
-    EXPECT_LT(r, 1.2);
+  for (const auto kernel : kKernels) {
+    params.kernel = kernel;
+    SCOPED_TRACE(params.kernelName());
+    const auto f = runGathered<D3Q15>(lattice, 2, params, 400);
+    double maxU = 0.0;
+    for (const auto& u : f.u) maxU = std::max(maxU, u.norm());
+    EXPECT_GT(maxU, 0.0);
+    EXPECT_LT(maxU, 0.1);  // stable, low Mach
+    for (const double r : f.rho) {
+      EXPECT_GT(r, 0.8);
+      EXPECT_LT(r, 1.2);
+    }
   }
 }
 
@@ -540,6 +565,7 @@ TEST(Layout, SoaAosRoundTripIsBitExact) {
   LbParams params;
   params.tau = 0.8;
   params.bodyForce = {1e-5, 0, 0};
+  params.kernel = LbParams::Kernel::kReference;  // the only AoS kernel
 
   comm::Runtime rt(1);
   rt.run([&](comm::Communicator& comm) {

@@ -1,19 +1,20 @@
-// Fused-kernel tests: the fused collide-stream path must reproduce the
-// reference three-phase path to round-off on every distribution value, the
-// internal frontier/bulk reordering must stay invisible outside the solver,
-// and conservation laws must hold on the fused path.
+// Production-kernel tests: the fused SIMD collide-stream path must
+// reproduce the reference three-phase path to round-off on every
+// distribution value, the internal frontier/bulk reordering must stay
+// invisible outside the solver, and conservation laws must hold on the
+// fused path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
+#include <tuple>
 
 #include "comm/runtime.hpp"
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
-#include "util/morton.hpp"
 
 namespace hemo::lb {
 namespace {
@@ -103,83 +104,14 @@ void expectStatesMatch(const GlobalState& a, const GlobalState& b,
   EXPECT_LE(maxDu, tol) << "max velocity mismatch";
 }
 
-// --- fused vs reference equivalence -----------------------------------------
+// --- simd vs reference equivalence --------------------------------------------
 
-TEST(FusedVsReference, BgkBodyForceMatches) {
-  const auto lattice = tube();
-  LbParams params;
-  params.tau = 0.8;
-  params.collision = LbParams::Collision::kBgk;
-  params.bodyForce = Vec3d{1e-5, 0, 0};
+// The vectorised kernel performs the reference kernel's per-site update, so
+// its trajectory must track the oracle to round-off (floating-point
+// contraction is the only permitted difference). Together these cover BGK,
+// TRT, Guo forcing, both iolet kinds, the stress field, and 1 and N ranks.
 
-  params.kernel = LbParams::Kernel::kFused;
-  const auto fused = runGatheredState(lattice, 3, params, 100);
-  params.kernel = LbParams::Kernel::kReference;
-  const auto ref = runGatheredState(lattice, 3, params, 100);
-  expectStatesMatch(fused, ref, 1e-12);
-}
-
-TEST(FusedVsReference, TrtBothIoletKindsMatch) {
-  const auto lattice = tube();
-  ASSERT_GE(lattice.iolets().size(), 2u);
-  LbParams params;
-  params.tau = 0.9;
-  params.collision = LbParams::Collision::kTrt;
-  // Velocity BC on the inlet, pressure BC on the outlet: exercises both
-  // iolet rules of the fused frontier pass.
-  const auto setup = [](SolverD3Q19& solver) {
-    solver.setIoletVelocity(0, Vec3d{0.0, 0.0, 0.005});
-    solver.setIoletDensity(1, 0.995);
-  };
-
-  params.kernel = LbParams::Kernel::kFused;
-  const auto fused = runGatheredState(lattice, 2, params, 100, setup);
-  params.kernel = LbParams::Kernel::kReference;
-  const auto ref = runGatheredState(lattice, 2, params, 100, setup);
-  expectStatesMatch(fused, ref, 1e-12);
-}
-
-TEST(FusedVsReference, StressFieldMatches) {
-  const auto lattice = tube();
-  LbParams params;
-  params.tau = 0.8;
-  params.bodyForce = Vec3d{1e-5, 0, 0};
-  params.computeStress = true;
-
-  const auto graph = partition::buildSiteGraph(lattice);
-  partition::MultilevelKWayPartitioner kway;
-  const auto part = kway.partition(graph, 2);
-  std::vector<double> stressNorm[2];
-  for (const auto kernel :
-       {LbParams::Kernel::kFused, LbParams::Kernel::kReference}) {
-    params.kernel = kernel;
-    auto& out = stressNorm[kernel == LbParams::Kernel::kFused ? 0 : 1];
-    out.assign(lattice.numFluidSites(), 0.0);
-    comm::Runtime rt(2);
-    rt.run([&](comm::Communicator& comm) {
-      DomainMap domain(lattice, part, comm.rank());
-      SolverD3Q19 solver(domain, comm, params);
-      solver.run(50);
-      for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
-        out[static_cast<std::size_t>(domain.globalOf(l))] =
-            solver.macro().stress[static_cast<std::size_t>(l)].frobenius();
-      }
-    });
-  }
-  double maxD = 0.0;
-  for (std::size_t g = 0; g < stressNorm[0].size(); ++g) {
-    maxD = std::max(maxD, std::abs(stressNorm[0][g] - stressNorm[1][g]));
-  }
-  EXPECT_LE(maxD, 1e-12);
-}
-
-// --- simd vs fused equivalence ------------------------------------------------
-
-// The vectorised kernel replicates the scalar per-site operation order, so
-// its trajectory must track the fused kernel to round-off (FMA contraction
-// is the only permitted difference).
-
-TEST(SimdVsFused, BgkBodyForceMatches) {
+TEST(SimdVsReference, BgkBodyForceMatches) {
   const auto lattice = tube();
   LbParams params;
   params.tau = 0.8;
@@ -188,17 +120,19 @@ TEST(SimdVsFused, BgkBodyForceMatches) {
 
   params.kernel = LbParams::Kernel::kSimd;
   const auto simd = runGatheredState(lattice, 3, params, 100);
-  params.kernel = LbParams::Kernel::kFused;
-  const auto fused = runGatheredState(lattice, 3, params, 100);
-  expectStatesMatch(simd, fused, 1e-12);
+  params.kernel = LbParams::Kernel::kReference;
+  const auto ref = runGatheredState(lattice, 3, params, 100);
+  expectStatesMatch(simd, ref, 1e-12);
 }
 
-TEST(SimdVsFused, TrtBothIoletKindsMatch) {
+TEST(SimdVsReference, TrtBothIoletKindsMatch) {
   const auto lattice = tube();
   ASSERT_GE(lattice.iolets().size(), 2u);
   LbParams params;
   params.tau = 0.9;
   params.collision = LbParams::Collision::kTrt;
+  // Velocity BC on the inlet, pressure BC on the outlet: exercises both
+  // iolet rules of the frontier pass.
   const auto setup = [](SolverD3Q19& solver) {
     solver.setIoletVelocity(0, Vec3d{0.0, 0.0, 0.005});
     solver.setIoletDensity(1, 0.995);
@@ -206,14 +140,14 @@ TEST(SimdVsFused, TrtBothIoletKindsMatch) {
 
   params.kernel = LbParams::Kernel::kSimd;
   const auto simd = runGatheredState(lattice, 2, params, 100, setup);
-  params.kernel = LbParams::Kernel::kFused;
-  const auto fused = runGatheredState(lattice, 2, params, 100, setup);
-  expectStatesMatch(simd, fused, 1e-12);
+  params.kernel = LbParams::Kernel::kReference;
+  const auto ref = runGatheredState(lattice, 2, params, 100, setup);
+  expectStatesMatch(simd, ref, 1e-12);
 }
 
-TEST(SimdVsFused, SingleRankMatches) {
-  // One rank maximises the bulk segment, so the SIMD strips (not the
-  // scalar tail) carry nearly all sites.
+TEST(SimdVsReference, SingleRankMatches) {
+  // One rank maximises the bulk segment and drops every halo op, so the
+  // bulk pass carries nearly all sites.
   const auto lattice = tube();
   LbParams params;
   params.tau = 0.8;
@@ -221,12 +155,12 @@ TEST(SimdVsFused, SingleRankMatches) {
 
   params.kernel = LbParams::Kernel::kSimd;
   const auto simd = runGatheredState(lattice, 1, params, 100);
-  params.kernel = LbParams::Kernel::kFused;
-  const auto fused = runGatheredState(lattice, 1, params, 100);
-  expectStatesMatch(simd, fused, 1e-12);
+  params.kernel = LbParams::Kernel::kReference;
+  const auto ref = runGatheredState(lattice, 1, params, 100);
+  expectStatesMatch(simd, ref, 1e-12);
 }
 
-TEST(SimdVsFused, StressFieldMatches) {
+TEST(SimdVsReference, StressFieldMatches) {
   const auto lattice = tube();
   LbParams params;
   params.tau = 0.8;
@@ -238,7 +172,7 @@ TEST(SimdVsFused, StressFieldMatches) {
   const auto part = kway.partition(graph, 2);
   std::vector<double> stressNorm[2];
   for (const auto kernel :
-       {LbParams::Kernel::kSimd, LbParams::Kernel::kFused}) {
+       {LbParams::Kernel::kSimd, LbParams::Kernel::kReference}) {
     params.kernel = kernel;
     auto& out = stressNorm[kernel == LbParams::Kernel::kSimd ? 0 : 1];
     out.assign(lattice.numFluidSites(), 0.0);
@@ -263,22 +197,8 @@ TEST(SimdVsFused, StressFieldMatches) {
 // --- layout equivalence -------------------------------------------------------
 
 // The AoS record layout must produce the same trajectory as the SoA planes
-// through both scalar kernels: the layout only changes where values live,
-// never what arithmetic runs.
-
-TEST(LayoutEquivalence, FusedAosMatchesSoa) {
-  const auto lattice = tube();
-  LbParams params;
-  params.tau = 0.8;
-  params.bodyForce = Vec3d{1e-5, 0, 0};
-  params.kernel = LbParams::Kernel::kFused;
-
-  params.layout = Layout::kAoS;
-  const auto aos = runGatheredState(lattice, 2, params, 100);
-  params.layout = Layout::kSoA;
-  const auto soa = runGatheredState(lattice, 2, params, 100);
-  expectStatesMatch(aos, soa, 0.0);  // identical arithmetic → bit-exact
-}
+// through the reference kernel (the only one that accepts AoS): the layout
+// only changes where values live, never what arithmetic runs.
 
 TEST(LayoutEquivalence, ReferenceAosMatchesSoa) {
   const auto lattice = tube();
@@ -294,13 +214,13 @@ TEST(LayoutEquivalence, ReferenceAosMatchesSoa) {
   expectStatesMatch(aos, soa, 0.0);
 }
 
-// --- conservation on the fused path ------------------------------------------
+// --- conservation on the fused SIMD path -------------------------------------
 
 TEST(FusedConservation, ClosedCavityMassExact) {
   const auto lattice = closedCavity();
   LbParams params;
   params.tau = 0.7;
-  params.kernel = LbParams::Kernel::kFused;
+  params.kernel = LbParams::Kernel::kSimd;
 
   comm::Runtime rt(2);
   rt.run([&](comm::Communicator& comm) {
@@ -324,7 +244,7 @@ TEST(FusedConservation, AtRestCavityStaysAtRest) {
   const auto lattice = closedCavity();
   LbParams params;
   params.tau = 0.7;
-  params.kernel = LbParams::Kernel::kFused;
+  params.kernel = LbParams::Kernel::kSimd;
 
   comm::Runtime rt(2);
   rt.run([&](comm::Communicator& comm) {
@@ -373,15 +293,11 @@ TEST_P(ConservationEveryKernel, ClosedCavityMassExact) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, ConservationEveryKernel,
     ::testing::Values(
-        std::pair{LbParams::Kernel::kFused, Layout::kSoA},
-        std::pair{LbParams::Kernel::kFused, Layout::kAoS},
         std::pair{LbParams::Kernel::kReference, Layout::kAoS},
         std::pair{LbParams::Kernel::kSimd, Layout::kSoA}),
     [](const auto& info) {
       const std::string name =
-          info.param.first == LbParams::Kernel::kFused  ? "Fused"
-          : info.param.first == LbParams::Kernel::kSimd ? "Simd"
-                                                        : "Reference";
+          info.param.first == LbParams::Kernel::kSimd ? "Simd" : "Reference";
       return name + (info.param.second == Layout::kSoA ? "Soa" : "Aos");
     });
 
@@ -422,13 +338,14 @@ TEST(Reordering, MapsAreInversePermutations) {
           << "site " << g;
     }
 
-    // Bulk segment is Morton-sorted for locality.
-    std::uint64_t prev = 0;
-    for (std::uint32_t l = ro.numFrontier; l < ro.numSites(); ++l) {
-      const std::uint64_t key =
-          morton3(lattice.sitePosition(domain.globalOf(ro.externalOf[l])));
-      EXPECT_GE(key, prev);
-      prev = key;
+    // Bulk segment is row-major (x fastest), strictly increasing in
+    // (z, y, x), so x-neighbours are internal neighbours.
+    for (std::uint32_t l = ro.numFrontier + 1; l < ro.numSites(); ++l) {
+      const Vec3i a =
+          lattice.sitePosition(domain.globalOf(ro.externalOf[l - 1]));
+      const Vec3i b = lattice.sitePosition(domain.globalOf(ro.externalOf[l]));
+      EXPECT_LT(std::tie(a.z, a.y, a.x), std::tie(b.z, b.y, b.x))
+          << "internal sites " << l - 1 << ", " << l;
     }
   });
 }

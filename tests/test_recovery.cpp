@@ -177,6 +177,42 @@ TEST(Agreement, SurvivorsConvergeOnIdenticalDeadSetAndShrunkenComm) {
   }
 }
 
+TEST(Agreement, SplitOfShrunkenCommKeepsItsRecoveryEpoch) {
+  // After a shrink, a split sub-communicator must inherit the survivors'
+  // recovery epoch. Born at epoch 0, a receive that outlasts one poll
+  // slice would read the already-handled death as a new one and throw.
+  const comm::LivenessConfig cfg{true, 500, 5};
+  comm::Runtime rt(4);
+  rt.setLiveness(cfg);
+  comm::RunOptions opt;
+  opt.tolerateRankDeath = true;
+  std::vector<int> received(4, -1);
+  rt.run(
+      [&](comm::Communicator& comm) {
+        if (comm.worldRank() == 2) {
+          throw util::RankKilledError("simulated death");
+        }
+        auto& board = rt.deathBoard();
+        board.declareDead(2);
+        auto small = comm.shrink(core::agreeOnDeadSet(comm, board, cfg));
+        auto all = small.split(0, small.rank());
+        EXPECT_EQ(all.bornEpoch(), small.bornEpoch());
+        if (all.rank() == 0) {
+          // Delay the send well past two poll slices.
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(10 * cfg.pollMs));
+          for (int r = 1; r < all.size(); ++r) all.send(r, 9, 40 + r);
+        } else {
+          received[static_cast<std::size_t>(comm.worldRank())] =
+              all.recv<int>(0, 9);
+        }
+        all.barrier();
+      },
+      opt);
+  EXPECT_EQ(received[1], 41);
+  EXPECT_EQ(received[3], 42);
+}
+
 // --- rank-count-independent restore ----------------------------------------
 
 TEST(Recovery, CheckpointRestoresOntoFewerRanksAcrossStripings) {

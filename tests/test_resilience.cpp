@@ -338,7 +338,9 @@ TEST(Checkpoint, CrossLayoutWriteAndRestoreBitExact) {
     return std::string(std::istreambuf_iterator<char>(in), {});
   };
 
-  // Same 10-step run under each layout → byte-identical checkpoints.
+  // Same 10-step run under each layout → byte-identical checkpoints (on
+  // the reference kernel, the only one that accepts AoS).
+  params.kernel = lb::LbParams::Kernel::kReference;
   for (const auto layout : {lb::Layout::kSoA, lb::Layout::kAoS}) {
     params.layout = layout;
     const std::string path =
