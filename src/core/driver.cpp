@@ -24,6 +24,7 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
       ghosts_(std::make_unique<vis::GhostedField>(domain, comm, /*rings=*/2)),
       octree_(std::make_unique<multires::FieldOctree>(domain,
                                                       config.octreeLeafLog2)),
+      brick_(std::make_unique<vis::VolumeBrick>(domain)),
       server_(std::move(steerEnd)),
       sentinel_(config.sentinel) {
   HEMO_CHECK_MSG(!config.computeWss || config.lb.computeStress,
@@ -95,6 +96,7 @@ void SimulationDriver::runPipelineNow() {
   ctx.macro = &solver_->macro();
   ctx.ghosts = ghosts_.get();
   ctx.octree = octree_.get();
+  ctx.brick = brick_.get();
   ctx.step = solver_->stepsDone();
   lastOutputs_ = pipeline_.run(ctx);
 
@@ -813,10 +815,21 @@ int SimulationDriver::run(int steps) {
     ++executed;
     ++stepsThisRun_;
     const auto done = solver_->stepsDone();
+    const bool checkpointDue =
+        config_.checkpointEvery > 0 && !config_.checkpointDir.empty() &&
+        done % static_cast<std::uint64_t>(config_.checkpointEvery) == 0;
+    const int mirrorEvery = config_.buddy.mirrorEvery > 0
+                                ? config_.buddy.mirrorEvery
+                                : config_.checkpointEvery;
+    const bool mirrorDue = config_.buddy.store != nullptr && mirrorEvery > 0 &&
+                           done % static_cast<std::uint64_t>(mirrorEvery) == 0;
     // Stage-2 sentinel: consensus divergence check before anything
     // downstream (render / checkpoint / status) consumes — or persists —
-    // a possibly-poisoned state.
-    if (sentinel_.enabled() && sentinel_.due(done)) {
+    // a possibly-poisoned state. Every state-saving step is checked, also
+    // when the sentinel cadence would skip it: a checkpoint or mirror of a
+    // diverged state would become the rollback target.
+    if (sentinel_.enabled() &&
+        (sentinel_.due(done) || checkpointDue || mirrorDue)) {
       if (!sentinelGuard(done)) continue;
     }
     // Closing the loop: periodic imbalance check feeding measured costs
@@ -854,8 +867,7 @@ int SimulationDriver::run(int steps) {
         config_.visEvery = every;
       }
     }
-    if (config_.checkpointEvery > 0 && !config_.checkpointDir.empty() &&
-        done % static_cast<std::uint64_t>(config_.checkpointEvery) == 0) {
+    if (checkpointDue) {
       const auto path =
           config_.checkpointDir + "/" + lb::checkpointFileName(done);
       lb::writeCheckpoint(path, *solver_, *comm_,
@@ -864,14 +876,7 @@ int SimulationDriver::run(int steps) {
         lb::pruneCheckpoints(config_.checkpointDir, config_.checkpointKeep);
       }
     }
-    if (config_.buddy.store != nullptr) {
-      const int every = config_.buddy.mirrorEvery > 0
-                            ? config_.buddy.mirrorEvery
-                            : config_.checkpointEvery;
-      if (every > 0 && done % static_cast<std::uint64_t>(every) == 0) {
-        lb::mirrorBuddy(*solver_, *comm_, *config_.buddy.store);
-      }
-    }
+    if (mirrorDue) lb::mirrorBuddy(*solver_, *comm_, *config_.buddy.store);
     if (config_.statusEvery > 0 &&
         done % static_cast<std::uint64_t>(config_.statusEvery) == 0) {
       server_.sendStatus(*comm_, computeStatus());
@@ -1041,14 +1046,16 @@ MigrationOutcome SimulationDriver::migrateNow(
 
   solver_ = std::move(newSolver);
   domain_ = newDomain.get();
-  // Vis plumbing follows ownership: halo ghosts and the multires octree
-  // are domain-shaped, so rebuild both (collective); pipeline stages and
-  // serve subscriptions are domain-stateless and carry over untouched.
+  // Vis plumbing follows ownership: halo ghosts, the multires octree and
+  // the volume-render brick are domain-shaped, so rebuild all three (the
+  // ghosts collectively); pipeline stages and serve subscriptions are
+  // domain-stateless and carry over untouched.
   ghosts_ = std::make_unique<vis::GhostedField>(*newDomain, *comm_,
                                                 /*rings=*/2);
   octree_ =
       std::make_unique<multires::FieldOctree>(*newDomain,
                                               config_.octreeLeafLog2);
+  brick_ = std::make_unique<vis::VolumeBrick>(*newDomain);
   liveDomain_ = std::move(newDomain);
   livePartition_ = std::move(newPartition);
   ++migrationEpoch_;

@@ -268,6 +268,7 @@ class SimulationDriver {
   std::unique_ptr<lb::SolverD3Q19> solver_;
   std::unique_ptr<vis::GhostedField> ghosts_;
   std::unique_ptr<multires::FieldOctree> octree_;
+  std::unique_ptr<vis::VolumeBrick> brick_;
   InSituPipeline pipeline_;
   RenderStage* renderStage_ = nullptr;  // owned by pipeline_
   steer::SteeringServer server_;

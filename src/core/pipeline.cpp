@@ -63,7 +63,8 @@ void MapStage::run(PipelineContext& ctx) {
 }
 
 void RenderStage::run(PipelineContext& ctx) {
-  ctx.out.volumeImage = vis::renderVolume(*ctx.comm, *ctx.domain, *ctx.macro,
+  HEMO_CHECK(ctx.brick != nullptr && &ctx.brick->domain() == ctx.domain);
+  ctx.out.volumeImage = vis::renderVolume(*ctx.comm, *ctx.brick, *ctx.macro,
                                           options_);
   ++rendersDone_;
   if (drawLines_ && ctx.comm->rank() == 0 &&

@@ -45,6 +45,8 @@ struct PipelineContext {
   const lb::MacroFields* macro = nullptr;
   vis::GhostedField* ghosts = nullptr;
   multires::FieldOctree* octree = nullptr;
+  /// The domain's cached volume-render brick (required by RenderStage).
+  const vis::VolumeBrick* brick = nullptr;
   std::uint64_t step = 0;
   PipelineOutputs out;
 };

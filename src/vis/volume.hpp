@@ -6,9 +6,11 @@
 /// Sort-last rendering: each rank ray-casts only its own sites — "volume
 /// rendering can be performed on each subdomain without any data exchange
 /// with the neighbours" (§IV.D) — producing one RGBA fragment with an entry
-/// depth per pixel. Fragments are then composited by depth: either
-/// direct-send (non-empty fragments to the master, which sorts per pixel)
-/// or binary-swap (log₂P exchange rounds over halved image ranges).
+/// depth per pixel. The marcher skips empty space using a cached distance
+/// brick, yet samples exactly the positions a brute-force march would.
+/// Fragments are then composited by depth: either direct-send (non-empty
+/// fragments to the master, which sorts per pixel) or binary-swap (log₂P
+/// exchange rounds over halved image ranges).
 
 #include <cstdint>
 #include <optional>
@@ -46,42 +48,59 @@ struct VolumeRenderOptions {
 
 enum class CompositeMode { kDirectSend, kBinarySwap };
 
-/// Dense brick of this rank's sites: scalar value + fluid mask over the
-/// bounding box of the owned region. Rebuilt per frame from macro fields.
-class LocalBrick {
+/// Cached render geometry of this rank's owned sites: a dense int32 brick
+/// over the owned bounding box, padded by one empty cell on every side.
+/// A cell value >= 0 is the local slot of the owned site there; a value
+/// < 0 is minus the Chebyshev distance (capped at kMaxDistance) to the
+/// nearest owned fluid cell, which lets the ray marcher leap over empty
+/// space. Depends only on the DomainMap, so it is built once per domain and
+/// rebuilt whenever ownership changes (construction, live migration).
+class VolumeBrick {
  public:
-  LocalBrick(const lb::DomainMap& domain, const lb::MacroFields& macro,
-             RenderField field);
+  static constexpr int kMaxDistance = 15;
 
-  /// Nearest-site scalar at a world position; false if outside the owned
-  /// fluid.
-  bool sampleScalar(const Vec3d& world, float& value) const;
+  explicit VolumeBrick(const lb::DomainMap& domain);
 
-  /// World bounds of the brick (empty if the rank owns nothing).
-  const BoxD& worldBounds() const { return worldBounds_; }
-  bool empty() const { return ext_.x == 0; }
+  const lb::DomainMap& domain() const { return *domain_; }
+  bool empty() const { return cells_.empty(); }
+
+  /// Cell value at a lattice position: the owned slot, or minus the
+  /// capped distance to the nearest owned site (outside the padded brick:
+  /// -1, i.e. empty but not known to be far).
+  std::int32_t cell(const Vec3i& latticePos) const;
+
+  /// Render this rank's fragment image (RGBA + entry depth per pixel).
+  Image render(const lb::MacroFields& macro,
+               const VolumeRenderOptions& options) const;
 
  private:
   const lb::DomainMap* domain_;
-  Vec3i lo_{0, 0, 0};
-  Vec3i ext_{0, 0, 0};
-  std::vector<float> scalar_;
-  std::vector<std::uint8_t> mask_;
-  BoxD worldBounds_ = BoxD::empty();
+  Vec3i lo_{0, 0, 0};   ///< lattice corner of the padded brick
+  Vec3i ext_{0, 0, 0};  ///< padded extent
+  std::vector<std::int32_t> cells_;
+  BoxD worldBounds_ = BoxD::empty();  ///< the owned (unpadded) box
 };
 
-/// Render this rank's fragment image (RGBA + entry depth per pixel).
+/// VolumeBrick::render on a temporary brick for `domain`.
 Image renderLocal(const lb::DomainMap& domain, const lb::MacroFields& macro,
                   const VolumeRenderOptions& options);
 
 /// Collective: composite the ranks' fragments into the final image on
-/// rank 0 (returned empty elsewhere). Traffic classified as kVis.
+/// rank 0 (returned empty elsewhere). Fragments meeting on a pixel are
+/// ordered by (depth, source rank), so equal depths composite
+/// deterministically. Traffic classified as kVis.
 Image compositeDirectSend(comm::Communicator& comm, const Image& fragment);
 
 /// Collective binary-swap compositing; requires a power-of-two rank count.
 Image compositeBinarySwap(comm::Communicator& comm, const Image& fragment);
 
-/// Convenience: renderLocal + composite.
+/// Convenience: VolumeBrick::render + composite.
+Image renderVolume(comm::Communicator& comm, const VolumeBrick& brick,
+                   const lb::MacroFields& macro,
+                   const VolumeRenderOptions& options,
+                   CompositeMode mode = CompositeMode::kDirectSend);
+
+/// Same, building a temporary brick for `domain`.
 Image renderVolume(comm::Communicator& comm, const lb::DomainMap& domain,
                    const lb::MacroFields& macro,
                    const VolumeRenderOptions& options,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "comm/runtime.hpp"
@@ -352,6 +353,41 @@ TEST(Driver, GoldenAneurysmRunMatchesRecordedValues) {
   constexpr double kPeakSpeed = 0.00044853523245532432;
   constexpr double kPeakWss = 2.3310247418266764e-05;
   constexpr double kFieldTol = 1e-12;
+  constexpr int kCoveredPixels = 46;
+  // 16x16 RGB, half an image row per line.
+  constexpr const char* kFrameRgbHex =
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141415141415141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141415141416151517141416141415"
+      "141414141414141414141414141414141414141414141414"
+      "14141414141414141416161a1a1a201c1b231b1a2216161a"
+      "141414141414141414141414141414141414141414141414"
+      "463d41433a3e4c40435a46494a4043413a3e4c41445a464a"
+      "141414141414141414141414141414141414141414141414"
+      "b25253b24f51b05254ae5a5c9a5a5c935a5d9b595ca95557"
+      "141414141414141414141414141414141414141414141414"
+      "b25253b25052ad5456aa5c5e98585b925a5d995a5ca55759"
+      "141414141414141414141414141414141414141414141414"
+      "463d413f383c3d373b363236342f34322e34343035373338"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414"
+      "141414141414141414141414141414141414141414141414";
 
   const auto lat = aneurysmLattice(0.25);
   ASSERT_EQ(lat.numFluidSites(), 1252u);
@@ -368,6 +404,8 @@ TEST(Driver, GoldenAneurysmRunMatchesRecordedValues) {
     dcfg.statusEvery = 0;
     dcfg.render.width = 16;
     dcfg.render.height = 16;
+    // Ramp matched to the run's peak speed so the pinned frame has colour.
+    dcfg.render.transfer = vis::TransferFunction::bloodFlow(0.f, 5e-4f);
     SimulationDriver driver(domain, comm, dcfg);
     ASSERT_EQ(driver.run(200), 200);
     driver.runPipelineNow();
@@ -378,6 +416,24 @@ TEST(Driver, GoldenAneurysmRunMatchesRecordedValues) {
     EXPECT_NEAR(out.maxSpeed, kPeakSpeed, kFieldTol);
     EXPECT_NEAR(status.maxSpeed, kPeakSpeed, kFieldTol);
     EXPECT_NEAR(out.maxWss, kPeakWss, kFieldTol);
+    // Final frame, recorded on the brute-force ray caster that preceded
+    // the empty-space-skipping one: exact coverage, RGB bytes within 1.
+    if (comm.rank() == 0) {
+      const auto& img = out.volumeImage;
+      ASSERT_EQ(img.numPixels(), 256u);
+      int covered = 0;
+      for (std::size_t i = 0; i < img.numPixels(); ++i) {
+        if (img.depth(i) < vis::Image::kFarDepth) ++covered;
+      }
+      EXPECT_EQ(covered, kCoveredPixels);
+      const auto rgb = img.toRgb8();
+      const std::string hex(kFrameRgbHex);
+      ASSERT_EQ(rgb.size() * 2, hex.size());
+      for (std::size_t i = 0; i < rgb.size(); ++i) {
+        const int expected = std::stoi(hex.substr(2 * i, 2), nullptr, 16);
+        EXPECT_NEAR(rgb[i], expected, 1) << "byte " << i;
+      }
+    }
   });
 }
 

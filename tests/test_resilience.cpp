@@ -916,6 +916,91 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Sentinel, ChecksEveryCheckpointStepTheCadenceSkips) {
+  // Divergence is injected as in DivergenceTriggersRollbackAndQuarantine,
+  // but on step 1 and with a sentinel cadence (50) that skips the first
+  // checkpoint step (75). The run diverges between steps 50 and 75, so
+  // without a check on the checkpoint step ckpt_75 would persist the
+  // poisoned state and become the rollback target.
+  const auto lat = tubeLattice();
+  const auto graph = partition::buildSiteGraph(lat);
+  partition::MultilevelKWayPartitioner kway;
+  const auto part = kway.partition(graph, 2);
+  const std::string dir = "/tmp/hemo_test_sentinel_ckpt_cadence";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  auto cfg = plainDriverConfig();
+  cfg.lb.bodyForce = {5e-3, 0, 0};
+  cfg.checkpointEvery = 75;
+  cfg.checkpointDir = dir;
+  cfg.checkpointKeep = 8;
+  cfg.sentinel.checkEvery = 50;
+  // The poisoned run peaks near 0.47 at step 50 and far above 1 by 75.
+  cfg.sentinel.maxSpeed = 0.6;
+  cfg.sentinel.maxRollbacks = 3;
+  cfg.guard.enabled = false;
+
+  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  steer::SteeringClient client(clientEnd);
+  steer::Command c;
+  c.type = steer::MsgType::kSetTau;
+  c.value = 0.502;  // polled, and applied, before step 1
+  const std::uint32_t badId = client.send(c);
+
+  double maxSpeedAt50 = 0.0;
+  int rollbacks = 0;
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    core::SimulationDriver driver(
+        domain, comm, cfg,
+        comm.rank() == 0 ? std::move(serverEnd) : comm::ChannelEnd{});
+    // A clean initial checkpoint to roll back to.
+    lb::writeCheckpoint(dir + "/" + lb::checkpointFileName(0),
+                        driver.solver(), comm);
+    ASSERT_EQ(driver.run(50), 50);
+    // The poisoned state passes the step-50 sentinel check...
+    ASSERT_EQ(driver.rollbacksDone(), 0);
+    const double speed = driver.computeStatus().maxSpeed;
+    if (comm.rank() == 0) maxSpeedAt50 = speed;
+    // ...and fails the one the checkpoint due at step 75 forces.
+    EXPECT_EQ(driver.run(150), 150);
+    EXPECT_FALSE(driver.terminated());
+    EXPECT_EQ(driver.rollbacksDone(), 1);
+    EXPECT_DOUBLE_EQ(driver.solver().params().tau, 0.8);
+    if (comm.rank() == 0) rollbacks = driver.rollbacksDone();
+  });
+  EXPECT_LT(maxSpeedAt50, cfg.sentinel.maxSpeed);
+
+  // The rollback's retroactive NACK is queued by now (awaiting it without
+  // a rollback would block: the server end never closes).
+  ASSERT_EQ(rollbacks, 1);
+  const auto nack = client.awaitReject();
+  ASSERT_TRUE(nack.has_value());
+  EXPECT_EQ(nack->commandId, badId);
+  EXPECT_EQ(static_cast<int>(nack->type),
+            static_cast<int>(steer::MsgType::kRejectedAfterRollback));
+
+  // ckpt_75 exists and holds the clean replay after the rollback.
+  const std::string ckpt75 = dir + "/" + lb::checkpointFileName(75);
+  ASSERT_TRUE(std::filesystem::exists(ckpt75));
+  comm::Runtime verify(2);
+  verify.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    lb::SolverD3Q19 solver(domain, comm, cfg.lb);
+    const auto restored = lb::readCheckpoint(ckpt75, solver, comm);
+    ASSERT_TRUE(restored.ok()) << restored.detail;
+    double localMax = 0.0;
+    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+      ASSERT_TRUE(std::isfinite(solver.macro().u[l].norm()));
+      localMax = std::max(localMax, solver.macro().u[l].norm());
+    }
+    EXPECT_LT(comm.allreduceMax(localMax), cfg.sentinel.maxSpeed);
+  });
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Sentinel, ExhaustedRetriesProduceDiagnosticDumpNotAbort) {
   const auto lat = tubeLattice();
   const auto graph = partition::buildSiteGraph(lat);

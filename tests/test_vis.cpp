@@ -1,15 +1,21 @@
 // Tests for the visualisation substrate: camera/image/transfer algebra,
 // ghosted field exchange, trilinear sampling, distributed streamlines
 // (including bitwise rank invariance), volume rendering + both compositors,
-// in situ tracers and slice LIC.
+// in situ tracers and slice LIC. The empty-space-skipping volume marcher is
+// checked against a copy of the brute-force ray caster it replaced.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "comm/runtime.hpp"
+#include "core/driver.hpp"
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
+#include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
 #include "vis/camera.hpp"
 #include "vis/lic.hpp"
@@ -358,6 +364,477 @@ TEST(VolumeRender, BinarySwapRejectsNonPowerOfTwo) {
                      CompositeMode::kBinarySwap);
       }),
       CheckError);
+}
+
+TEST(VolumeRender, DirectSendOrdersEqualDepthsByRank) {
+  // Two ranks put a fragment on pixel 0 at the same depth: rank 0's must
+  // composite in front. On pixel 1 rank 1 is nearer and goes in front.
+  const Rgba red{0.5f, 0.f, 0.f, 0.5f}, green{0.f, 0.5f, 0.f, 0.5f};
+  Image result;
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    Image fragment(2, 1);
+    const bool first = comm.rank() == 0;
+    fragment.pixel(0) = first ? red : green;
+    fragment.depth(0) = 2.5f;
+    fragment.pixel(1) = first ? red : green;
+    fragment.depth(1) = first ? 3.f : 1.f;
+    auto img = compositeDirectSend(comm, fragment);
+    if (comm.rank() == 0) result = std::move(img);
+  });
+  Rgba redOverGreen, greenOverRed;
+  redOverGreen.accumulate(red);
+  redOverGreen.accumulate(green);
+  greenOverRed.accumulate(green);
+  greenOverRed.accumulate(red);
+  ASSERT_EQ(result.numPixels(), 2u);
+  EXPECT_EQ(result.pixel(0).r, redOverGreen.r);
+  EXPECT_EQ(result.pixel(0).g, redOverGreen.g);
+  EXPECT_EQ(result.pixel(0).a, redOverGreen.a);
+  EXPECT_EQ(result.depth(0), 2.5f);
+  EXPECT_EQ(result.pixel(1).r, greenOverRed.r);
+  EXPECT_EQ(result.pixel(1).g, greenOverRed.g);
+  EXPECT_EQ(result.depth(1), 1.f);
+}
+
+// --- volume renderer equivalence ---------------------------------------------------
+
+/// The brute-force ray caster the empty-space-skipping marcher replaced,
+/// kept as the oracle: a dense scalar brick rebuilt per frame, every
+/// sample evaluated, the transfer function applied per sample.
+class OracleBrick {
+ public:
+  OracleBrick(const lb::DomainMap& domain, const lb::MacroFields& macro,
+              RenderField field)
+      : domain_(&domain) {
+    const auto& lat = domain.lattice();
+    BoxI box = BoxI::empty();
+    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+      box.expand(lat.sitePosition(domain.globalOf(l)));
+    }
+    if (box.isEmpty()) return;
+    lo_ = box.lo;
+    ext_ = box.extent();
+    const std::size_t cells = static_cast<std::size_t>(ext_.x) *
+                              static_cast<std::size_t>(ext_.y) *
+                              static_cast<std::size_t>(ext_.z);
+    scalar_.assign(cells, 0.f);
+    mask_.assign(cells, 0);
+    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+      const Vec3i p = lat.sitePosition(domain.globalOf(l)) - lo_;
+      const std::size_t idx =
+          (static_cast<std::size_t>(p.z) * static_cast<std::size_t>(ext_.y) +
+           static_cast<std::size_t>(p.y)) *
+              static_cast<std::size_t>(ext_.x) +
+          static_cast<std::size_t>(p.x);
+      mask_[idx] = 1;
+      scalar_[idx] = field == RenderField::kVelocityMagnitude
+                         ? static_cast<float>(
+                               macro.u[static_cast<std::size_t>(l)].norm())
+                         : static_cast<float>(
+                               macro.rho[static_cast<std::size_t>(l)]);
+    }
+    const double h = lat.voxelSize();
+    worldBounds_.lo = lat.origin() + lo_.cast<double>() * h;
+    worldBounds_.hi = lat.origin() + (lo_ + ext_).cast<double>() * h;
+  }
+
+  bool sampleScalar(const Vec3d& world, float& value) const {
+    if (empty()) return false;
+    const auto& lat = domain_->lattice();
+    const Vec3d rel = (world - lat.origin()) / lat.voxelSize();
+    const Vec3i p{static_cast<int>(std::floor(rel.x)) - lo_.x,
+                  static_cast<int>(std::floor(rel.y)) - lo_.y,
+                  static_cast<int>(std::floor(rel.z)) - lo_.z};
+    if (p.x < 0 || p.x >= ext_.x || p.y < 0 || p.y >= ext_.y || p.z < 0 ||
+        p.z >= ext_.z) {
+      return false;
+    }
+    const std::size_t idx =
+        (static_cast<std::size_t>(p.z) * static_cast<std::size_t>(ext_.y) +
+         static_cast<std::size_t>(p.y)) *
+            static_cast<std::size_t>(ext_.x) +
+        static_cast<std::size_t>(p.x);
+    if (!mask_[idx]) return false;
+    value = scalar_[idx];
+    return true;
+  }
+
+  const BoxD& worldBounds() const { return worldBounds_; }
+  bool empty() const { return ext_.x == 0; }
+
+ private:
+  const lb::DomainMap* domain_;
+  Vec3i lo_{0, 0, 0};
+  Vec3i ext_{0, 0, 0};
+  std::vector<float> scalar_;
+  std::vector<std::uint8_t> mask_;
+  BoxD worldBounds_ = BoxD::empty();
+};
+
+Image oracleRenderLocal(const lb::DomainMap& domain,
+                        const lb::MacroFields& macro,
+                        const VolumeRenderOptions& options) {
+  const OracleBrick brick(domain, macro, options.field);
+  Image img(options.width, options.height);
+  if (brick.empty()) return img;
+  const double h = domain.lattice().voxelSize();
+  const double step = options.stepVoxels * h;
+  const float alphaScale = static_cast<float>(options.stepVoxels);
+  for (int py = 0; py < options.height; ++py) {
+    for (int px = 0; px < options.width; ++px) {
+      const Ray ray =
+          options.camera.rayThrough(px, py, options.width, options.height);
+      double t0, t1;
+      if (!brick.worldBounds().rayIntersect(ray.origin, ray.direction, t0,
+                                            t1)) {
+        continue;
+      }
+      if (options.clipBox) {
+        double c0, c1;
+        if (!options.clipBox->rayIntersect(ray.origin, ray.direction, c0,
+                                           c1)) {
+          continue;
+        }
+        t0 = std::max(t0, c0);
+        t1 = std::min(t1, c1);
+        if (t0 > t1) continue;
+      }
+      Rgba acc;
+      float firstHit = Image::kFarDepth;
+      double t = (std::floor(t0 / step) + 1.0) * step;
+      for (; t <= t1; t += step) {
+        const Vec3d p = ray.origin + ray.direction * t;
+        float value;
+        if (!brick.sampleScalar(p, value)) continue;
+        Rgba sample = options.transfer.sample(value);
+        sample.r *= alphaScale;
+        sample.g *= alphaScale;
+        sample.b *= alphaScale;
+        sample.a *= alphaScale;
+        if (sample.a <= 0.f) continue;
+        if (firstHit == Image::kFarDepth) {
+          firstHit = static_cast<float>(t);
+        }
+        acc.accumulate(sample);
+        if (acc.a >= options.opacityCutoff) break;
+      }
+      if (firstHit < Image::kFarDepth) {
+        const std::size_t i = static_cast<std::size_t>(py) *
+                                  static_cast<std::size_t>(options.width) +
+                              static_cast<std::size_t>(px);
+        img.pixel(i) = acc;
+        img.depth(i) = firstHit;
+      }
+    }
+  }
+  return img;
+}
+
+/// Bit-equal depths, every channel within 1e-6, identical toRgb8 bytes.
+/// Returns the number of covered pixels.
+int expectSameImage(const Image& got, const Image& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.numPixels(), want.numPixels()) << what;
+  if (got.numPixels() != want.numPixels()) return 0;
+  int covered = 0, depthMismatches = 0, colourMismatches = 0;
+  for (std::size_t i = 0; i < want.numPixels(); ++i) {
+    if (want.depth(i) < Image::kFarDepth) ++covered;
+    if (std::bit_cast<std::uint32_t>(got.depth(i)) !=
+        std::bit_cast<std::uint32_t>(want.depth(i))) {
+      ++depthMismatches;
+    }
+    const Rgba& g = got.pixel(i);
+    const Rgba& w = want.pixel(i);
+    if (!(std::abs(g.r - w.r) <= 1e-6f && std::abs(g.g - w.g) <= 1e-6f &&
+          std::abs(g.b - w.b) <= 1e-6f && std::abs(g.a - w.a) <= 1e-6f)) {
+      ++colourMismatches;
+    }
+  }
+  EXPECT_EQ(depthMismatches, 0) << what;
+  EXPECT_EQ(colourMismatches, 0) << what;
+  EXPECT_TRUE(got.toRgb8() == want.toRgb8()) << what;
+  return covered;
+}
+
+SparseLattice aneurysmLattice(double voxel = 0.2) {
+  geometry::VoxelizeOptions opt;
+  opt.voxelSize = voxel;
+  return geometry::voxelize(geometry::makeAneurysmVessel(5.0, 1.0, 1.2),
+                            opt);
+}
+
+lb::LbParams shortRunParams() {
+  lb::LbParams p;
+  p.tau = 0.8;
+  p.bodyForce = {1e-5, 0, 0};
+  return p;
+}
+
+/// Camera k of a 12-view orbit around the lattice's fluid bounds.
+Camera orbitCamera(const SparseLattice& lat, int k) {
+  const auto b = lat.fluidBounds();
+  const Vec3d lo = lat.origin() + b.lo.cast<double>() * lat.voxelSize();
+  const Vec3d hi = lat.origin() + b.hi.cast<double>() * lat.voxelSize();
+  const double a = 0.4 + 2.0 * 3.14159265358979 * k / 12.0;
+  const double radius = 1.3 * (hi - lo).norm();
+  Camera cam;
+  cam.target = (lo + hi) * 0.5;
+  cam.position = cam.target + Vec3d{radius * std::cos(a),
+                                    radius * (k % 3 - 1) * 0.3,
+                                    radius * std::sin(a)};
+  return cam;
+}
+
+/// The 12 orbit views, plus one camera inside the vessel's bounding box
+/// and one looking straight down the z axis (rays through exact lattice
+/// planes).
+std::vector<Camera> equivalenceCameras(const SparseLattice& lat) {
+  std::vector<Camera> cams;
+  for (int k = 0; k < 12; ++k) cams.push_back(orbitCamera(lat, k));
+  const auto b = lat.fluidBounds();
+  const Vec3d lo = lat.origin() + b.lo.cast<double>() * lat.voxelSize();
+  const Vec3d hi = lat.origin() + b.hi.cast<double>() * lat.voxelSize();
+  const Vec3d centre = (lo + hi) * 0.5;
+  Camera inside;
+  inside.position = {lo.x + 0.1 * (hi.x - lo.x), centre.y, centre.z};
+  inside.target = centre;
+  cams.push_back(inside);
+  Camera axis;
+  axis.position = {centre.x, centre.y, hi.z + 2.0 * (hi - lo).norm()};
+  axis.target = {centre.x, centre.y, centre.z};
+  cams.push_back(axis);
+  return cams;
+}
+
+/// The central third of the fluid bounds, in world coordinates.
+BoxD centralClip(const SparseLattice& lat) {
+  const auto b = lat.fluidBounds();
+  const Vec3d lo = lat.origin() + b.lo.cast<double>() * lat.voxelSize();
+  const Vec3d hi = lat.origin() + b.hi.cast<double>() * lat.voxelSize();
+  BoxD clip;
+  clip.lo = lo + (hi - lo) * (1.0 / 3.0);
+  clip.hi = lo + (hi - lo) * (2.0 / 3.0);
+  return clip;
+}
+
+/// Skipping marcher vs oracle on every rank's fragment and on the
+/// composited frame: 14 views × {velocity, density} × {no clip, clip} ×
+/// {default cutoff, 0.3}.
+void checkMarcherMatchesOracle(int ranks) {
+  const auto lat = aneurysmLattice();
+  const auto part = makePartition(lat, ranks);
+  comm::Runtime rt(ranks);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    lb::SolverD3Q19 solver(domain, comm, shortRunParams());
+    solver.run(40);
+    const auto& macro = solver.macro();
+    double speedMax = 0.0, rhoMin = 1e300, rhoMax = 0.0;
+    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+      speedMax = std::max(speedMax, macro.u[l].norm());
+      rhoMin = std::min(rhoMin, macro.rho[l]);
+      rhoMax = std::max(rhoMax, macro.rho[l]);
+    }
+    speedMax = comm.allreduceMax(speedMax);
+    rhoMin = comm.allreduceMin(rhoMin);
+    rhoMax = comm.allreduceMax(rhoMax);
+    ASSERT_GT(speedMax, 0.0);
+    ASSERT_LT(rhoMin, rhoMax);
+
+    const VolumeBrick brick(domain);
+    int covered = 0, coveredClipped = 0;
+    float peakAlpha = 0.f;
+    const auto cameras = equivalenceCameras(lat);
+    for (std::size_t k = 0; k < cameras.size(); ++k) {
+      for (const auto field :
+           {RenderField::kVelocityMagnitude, RenderField::kDensity}) {
+        for (const bool clip : {false, true}) {
+          for (const float cutoff : {0.98f, 0.3f}) {
+            VolumeRenderOptions opt;
+            opt.camera = cameras[k];
+            opt.width = 48;
+            opt.height = 48;
+            opt.field = field;
+            opt.transfer =
+                field == RenderField::kVelocityMagnitude
+                    ? TransferFunction::bloodFlow(
+                          0.f, static_cast<float>(speedMax))
+                    : TransferFunction::bloodFlow(
+                          static_cast<float>(rhoMin),
+                          static_cast<float>(rhoMax));
+            opt.opacityCutoff = cutoff;
+            if (clip) opt.clipBox = centralClip(lat);
+            const std::string what =
+                "ranks " + std::to_string(ranks) + " rank " +
+                std::to_string(comm.rank()) + " view " + std::to_string(k) +
+                " field " + std::to_string(static_cast<int>(field)) +
+                " clip " + std::to_string(clip) + " cutoff " +
+                std::to_string(cutoff);
+            const Image want = oracleRenderLocal(domain, macro, opt);
+            const Image got = brick.render(macro, opt);
+            const int c = expectSameImage(got, want, what);
+            (clip ? coveredClipped : covered) += c;
+            expectSameImage(renderLocal(domain, macro, opt), want,
+                            what + " (renderLocal)");
+            for (const auto& p : want.pixels()) {
+              peakAlpha = std::max(peakAlpha, p.a);
+            }
+            const Image frameWant = compositeDirectSend(comm, want);
+            const Image frameGot = renderVolume(comm, brick, macro, opt);
+            if (comm.rank() == 0) {
+              expectSameImage(frameGot, frameWant, what + " (frame)");
+            }
+          }
+        }
+      }
+    }
+    // Not vacuous: every configuration draws something, and the 0.3
+    // cutoff is reachable.
+    EXPECT_GT(comm.allreduceSum(covered), 0);
+    EXPECT_GT(comm.allreduceSum(coveredClipped), 0);
+    EXPECT_GT(comm.allreduceMax(peakAlpha), 0.3f);
+  });
+}
+
+TEST(VolumeRenderEquivalence, SkippingMarcherMatchesBruteForceOneRank) {
+  checkMarcherMatchesOracle(1);
+}
+
+TEST(VolumeRenderEquivalence, SkippingMarcherMatchesBruteForceThreeRanks) {
+  checkMarcherMatchesOracle(3);
+}
+
+TEST(VolumeRenderEquivalence, CellFloorsMatchTheDivisionOnLatticePlanes) {
+  // The marcher takes sample cells from (p - origin) * (1 / h). Where that
+  // product and (p - origin) / h floor to different columns, the result
+  // must still be the division's column. Axis-aligned rays (dir.x == 0)
+  // hold p.x fixed, so place them on such offsets, inside the tube, over
+  // a field whose colour changes from column to column.
+  const auto lat = tubeLattice(0.2);
+  const double h = lat.voxelSize();
+  const Vec3d origin = lat.origin();
+  const auto b = lat.fluidBounds();
+  std::vector<double> offsets;
+  for (int k = b.lo.x + 1; k < b.hi.x; ++k) {
+    double d = std::nextafter(k * h, 0.0);
+    for (int i = 0; i < 4; ++i, d = std::nextafter(d, 1e9)) {
+      if ((origin.x + d) - origin.x == d &&
+          std::floor(d / h) != std::floor(d * (1.0 / h))) {
+        offsets.push_back(d);
+      }
+    }
+  }
+  ASSERT_FALSE(offsets.empty());
+  const auto part = makePartition(lat, 1);
+  comm::Runtime rt(1);
+  rt.run([&](comm::Communicator&) {
+    lb::DomainMap domain(lat, part, 0);
+    auto macro = syntheticField(domain, [](const Vec3d& w) {
+      return Vec3d{0.01 * (w.x + 4.0), 0, 0};
+    });
+    const VolumeBrick brick(domain);
+    for (const double d : offsets) {
+      VolumeRenderOptions opt;
+      opt.width = 1;
+      opt.height = 1;
+      opt.transfer = TransferFunction::bloodFlow(0.f, 0.1f);
+      opt.camera.position = {origin.x + d, 0.05, 10.0};
+      opt.camera.target = {origin.x + d, 0.05, 0.0};
+      const Image want = oracleRenderLocal(domain, macro, opt);
+      ASSERT_LT(want.depth(0), Image::kFarDepth);
+      EXPECT_EQ(want.pixel(0).r, brick.render(macro, opt).pixel(0).r)
+          << "offset " << d;
+      // Non-vacuous: the product's column would draw another colour.
+      opt.camera.position.x = opt.camera.target.x = origin.x + (d + 0.5 * h);
+      EXPECT_NE(want.pixel(0).r,
+                oracleRenderLocal(domain, macro, opt).pixel(0).r);
+    }
+  });
+}
+
+TEST(VolumeRenderEquivalence, DriverFrameAfterMigrationMatchesOracle) {
+  // After a live migration the driver must render from a brick of the new
+  // domain: its frame equals the oracle rendered on that domain.
+  const auto lat = aneurysmLattice(0.25);
+  const auto part = makePartition(lat, 2);
+  std::vector<double> cost(lat.numFluidSites(), 1.0);
+  for (std::size_t g = 0; g < cost.size(); ++g) {
+    if (part.partOfSite[g] == 0) cost[g] = 4.0;
+  }
+  core::DriverConfig cfg;
+  cfg.lb = shortRunParams();
+  cfg.computeWss = false;
+  cfg.visEvery = 0;
+  cfg.statusEvery = 0;
+  cfg.render.width = 48;
+  cfg.render.height = 48;
+  cfg.render.camera = orbitCamera(lat, 2);
+  cfg.render.transfer = TransferFunction::bloodFlow(0.f, 2e-4f);
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    core::SimulationDriver driver(domain, comm, cfg);
+    driver.run(20);
+    driver.runPipelineNow();
+    const auto outcome = driver.migrateNow(cost);
+    ASSERT_TRUE(outcome.migrated);
+    ASSERT_NE(&driver.domain(), &domain);
+    driver.run(10);
+    driver.runPipelineNow();
+    const Image want = compositeDirectSend(
+        comm, oracleRenderLocal(driver.domain(), driver.solver().macro(),
+                                driver.renderStage().options()));
+    if (comm.rank() == 0) {
+      const int covered =
+          expectSameImage(driver.lastOutputs().volumeImage, want, "frame");
+      EXPECT_GT(covered, 0);
+    }
+  });
+}
+
+TEST(VolumeBrick, CellsHoldSlotsAndCappedChebyshevDistance) {
+  const auto lat = aneurysmLattice(0.3);
+  const auto part = makePartition(lat, 2);
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    const VolumeBrick brick(domain);
+    BoxI box = BoxI::empty();
+    std::vector<Vec3i> owned;
+    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+      owned.push_back(lat.sitePosition(domain.globalOf(l)));
+      box.expand(owned.back());
+      EXPECT_EQ(brick.cell(owned.back()), static_cast<std::int32_t>(l));
+    }
+    ASSERT_FALSE(box.isEmpty());
+    int farCells = 0;
+    // The padded brick, plus one more layer that lies outside it.
+    for (int z = box.lo.z - 2; z < box.hi.z + 2; ++z) {
+      for (int y = box.lo.y - 2; y < box.hi.y + 2; ++y) {
+        for (int x = box.lo.x - 2; x < box.hi.x + 2; ++x) {
+          const Vec3i p{x, y, z};
+          const std::int32_t cell = brick.cell(p);
+          if (cell >= 0) continue;
+          const bool outside = x < box.lo.x - 1 || x > box.hi.x ||
+                               y < box.lo.y - 1 || y > box.hi.y ||
+                               z < box.lo.z - 1 || z > box.hi.z;
+          if (outside) {
+            EXPECT_EQ(cell, -1);
+            continue;
+          }
+          int d = VolumeBrick::kMaxDistance;
+          for (const auto& q : owned) {
+            d = std::min(d, std::max({std::abs(q.x - x), std::abs(q.y - y),
+                                      std::abs(q.z - z)}));
+          }
+          ASSERT_EQ(cell, -d) << x << "," << y << "," << z;
+          if (d > 1) ++farCells;
+        }
+      }
+    }
+    EXPECT_GT(farCells, 0);
+  });
 }
 
 // --- tracers ---------------------------------------------------------------------
