@@ -5,8 +5,21 @@
 // geometries. Also probes §I's "open question" of partitioner scaling by
 // sweeping the part count.
 
+#include <sys/resource.h>
+
 #include "common.hpp"
 #include "partition/metrics.hpp"
+
+namespace {
+
+/// Process high-water resident set, MB.
+double maxRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+}  // namespace
 
 int main() {
   using namespace hemobench;
@@ -65,6 +78,36 @@ int main() {
                 static_cast<unsigned long long>(mb.edgeCut), mk.imbalance,
                 ms);
   }
+
+  // Hot path at the end-to-end batch workload's scale: the aneurysm vessel
+  // of bench_e2e's batch-large (about 600k sites) on 4 parts. The memory
+  // row is how far partition() lifts the process high-water mark.
+  {
+    geometry::VoxelizeOptions opt;
+    opt.voxelSize = 0.035;
+    const auto lattice = geometry::voxelize(
+        geometry::makeAneurysmVessel(6.0, 1.0, 1.3, 0.4), opt);
+    char title[96];
+    std::snprintf(title, sizeof title,
+                  "P2 hot path: site graph + k-way, %llu sites, 4 parts",
+                  static_cast<unsigned long long>(lattice.numFluidSites()));
+    printHeader(title);
+    WallTimer graphTimer;
+    const auto big = partition::buildSiteGraph(lattice);
+    const double graphMs = graphTimer.seconds() * 1e3;
+    const double rssBefore = maxRssMb();
+    WallTimer kwayTimer;
+    const auto p = kway.partition(big, 4);
+    const double kwayMs = kwayTimer.seconds() * 1e3;
+    const double rssGrowth = maxRssMb() - rssBefore;
+    const auto m = partition::evaluatePartition(big, p);
+    std::printf("%-28s %12.1f\n", "site graph ms", graphMs);
+    std::printf("%-28s %12.1f\n", "kway ms", kwayMs);
+    std::printf("%-28s %12.1f\n", "partition() high-water +MB", rssGrowth);
+    std::printf("%-28s %12llu\n", "kway edge cut",
+                static_cast<unsigned long long>(m.edgeCut));
+  }
+
   std::printf("\nexpected shape: the multilevel partitioner cuts "
               "substantially fewer\nedges than the coarse block scan at "
               "every part count — why HemeLB\ncalls ParMETIS — while its "

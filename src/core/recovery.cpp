@@ -160,8 +160,13 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
     for (;;) {
       try {
         // (Re)build the full stack on the current survivor group: fresh
-        // partition of the survivors, domain map, solver, pipeline.
-        const auto part = partitioner_.partition(graph, comm.size());
+        // partition of the survivors, domain map, solver, pipeline. Rank 0
+        // computes the partition and broadcasts it, so the survivors do not
+        // each run the partitioner (and its worker threads) at once.
+        partition::Partition part;
+        part.numParts = comm.size();
+        if (comm.rank() == 0) part = partitioner_.partition(graph, comm.size());
+        comm.bcastVec(part.partOfSite, 0);
         lb::DomainMap domain(lattice_, part, comm.rank());
         DriverConfig cfg = config_;
         if (recovery_.buddy) {

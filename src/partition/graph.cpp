@@ -1,6 +1,7 @@
 #include "partition/graph.hpp"
 
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace hemo::partition {
 
@@ -8,19 +9,39 @@ SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice) {
   HEMO_CHECK(lattice.finalized());
   SiteGraph g;
   g.numVertices = lattice.numFluidSites();
-  g.xadj.reserve(static_cast<std::size_t>(g.numVertices) + 1);
-  g.xadj.push_back(0);
-  g.vertexWeight.assign(static_cast<std::size_t>(g.numVertices), 1.0);
-  g.coords.reserve(static_cast<std::size_t>(g.numVertices));
+  const auto n = static_cast<std::size_t>(g.numVertices);
+  g.xadj.assign(n + 1, 0);
+  g.vertexWeight.assign(n, 1.0);
+  g.coords.resize(n);
 
-  for (std::uint64_t v = 0; v < g.numVertices; ++v) {
-    g.coords.push_back(lattice.sitePosition(v));
-    for (int d = 0; d < geometry::kNumDirections; ++d) {
-      const auto n = lattice.neighborId(v, d);
-      if (n >= 0) g.adjncy.push_back(static_cast<std::uint64_t>(n));
+  // Two passes over the same contiguous site ranges: degrees (into
+  // xadj[v + 1]), a serial prefix sum, then the neighbour fill. Each range
+  // writes only its own sites' slots, so the result equals a serial scan.
+  const unsigned workers =
+      parallel::workerCount(g.numVertices * geometry::kNumDirections);
+  const auto bounds = parallel::splitRanges(
+      n, workers, [](std::size_t i) { return static_cast<std::uint64_t>(i); });
+  parallel::runWorkers(workers, [&](unsigned w) {
+    for (std::size_t v = bounds[w]; v < bounds[w + 1]; ++v) {
+      g.coords[v] = lattice.sitePosition(v);
+      std::uint64_t degree = 0;
+      for (int d = 0; d < geometry::kNumDirections; ++d) {
+        if (lattice.neighborId(v, d) >= 0) ++degree;
+      }
+      g.xadj[v + 1] = degree;
     }
-    g.xadj.push_back(g.adjncy.size());
-  }
+  });
+  for (std::size_t v = 0; v < n; ++v) g.xadj[v + 1] += g.xadj[v];
+  g.adjncy.resize(static_cast<std::size_t>(g.xadj[n]));
+  parallel::runWorkers(workers, [&](unsigned w) {
+    for (std::size_t v = bounds[w]; v < bounds[w + 1]; ++v) {
+      auto e = static_cast<std::size_t>(g.xadj[v]);
+      for (int d = 0; d < geometry::kNumDirections; ++d) {
+        const auto u = lattice.neighborId(v, d);
+        if (u >= 0) g.adjncy[e++] = static_cast<std::uint64_t>(u);
+      }
+    }
+  });
   return g;
 }
 

@@ -1,14 +1,16 @@
 #include "partition/partitioners.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <queue>
-#include <unordered_map>
+#include <span>
 
 #include "util/bbox.hpp"
 #include "util/check.hpp"
 #include "util/hilbert.hpp"
 #include "util/morton.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace hemo::partition {
@@ -39,6 +41,72 @@ void assignContiguousByWeight(const std::vector<std::uint64_t>& order,
       target = remaining / (numParts - part);
     }
   }
+}
+
+/// Vertex ids in ascending curve-key order, each key computed once. Keys
+/// are unique per lattice coordinate, so the order equals sorting the ids
+/// with a key-comparing comparator.
+template <typename Key>
+std::vector<std::uint64_t> orderByKey(const SiteGraph& graph, const Key& key) {
+  const auto n = static_cast<std::size_t>(graph.numVertices);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> keyed(n);
+  for (std::size_t v = 0; v < n; ++v) keyed[v] = {key(graph.coords[v]), v};
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::uint64_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = keyed[i].second;
+  return order;
+}
+
+/// Greedy graph growing: parts are grown one at a time by BFS from the
+/// lowest-id unassigned vertex until each reaches its weight target,
+/// recomputed on the remaining weight. Serves GreedyGrowingPartitioner and
+/// the k-way initial partition (`Adjncy` holds 64- or 32-bit ids).
+template <typename Adjncy>
+std::vector<int> greedyGrow(std::span<const std::uint64_t> xadj,
+                            const Adjncy& adjncy,
+                            std::span<const double> vertexWeight,
+                            int numParts) {
+  const std::size_t n = vertexWeight.size();
+  std::vector<int> partOf(n, -1);
+  double remaining = 0.0;
+  for (const double w : vertexWeight) remaining += w;
+  int part = 0;
+  double inPart = 0.0;
+  double target = remaining / numParts;
+  std::queue<typename Adjncy::value_type> frontier;
+  std::size_t seedScan = 0;
+  auto assign = [&](std::size_t v) {
+    partOf[v] = part;
+    const double w = vertexWeight[v];
+    inPart += w;
+    remaining -= w;
+    for (std::uint64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
+      const auto u = adjncy[e];
+      if (partOf[u] < 0) frontier.push(u);
+    }
+    if (inPart >= target && part + 1 < numParts) {
+      ++part;
+      inPart = 0.0;
+      target = remaining / (numParts - part);
+    }
+  };
+  std::size_t assigned = 0;
+  while (assigned < n) {
+    if (frontier.empty()) {
+      // Seed (or re-seed after a disconnected component) from the lowest
+      // unassigned id, as HemeLB's basic growing decomposition does.
+      while (partOf[seedScan] >= 0) ++seedScan;
+      assign(seedScan);
+      ++assigned;
+      continue;
+    }
+    const auto v = frontier.front();
+    frontier.pop();
+    if (partOf[v] >= 0) continue;
+    assign(v);
+    ++assigned;
+  }
+  return partOf;
 }
 
 }  // namespace
@@ -92,13 +160,8 @@ Partition SfcPartitioner::partition(const SiteGraph& graph,
   Partition p;
   p.numParts = numParts;
   p.partOfSite.assign(static_cast<std::size_t>(graph.numVertices), 0);
-  std::vector<std::uint64_t> order(static_cast<std::size_t>(graph.numVertices));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint64_t a, std::uint64_t b) {
-              return morton3(graph.coords[static_cast<std::size_t>(a)]) <
-                     morton3(graph.coords[static_cast<std::size_t>(b)]);
-            });
+  const auto order =
+      orderByKey(graph, [](const Vec3i& c) { return morton3(c); });
   assignContiguousByWeight(order, graph, numParts, p.partOfSite);
   return p;
 }
@@ -117,13 +180,8 @@ Partition HilbertPartitioner::partition(const SiteGraph& graph,
   }
   int bits = 1;
   while ((1 << bits) <= maxCoord) ++bits;
-  std::vector<std::uint64_t> order(static_cast<std::size_t>(graph.numVertices));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint64_t a, std::uint64_t b) {
-              return hilbert3(graph.coords[static_cast<std::size_t>(a)], bits) <
-                     hilbert3(graph.coords[static_cast<std::size_t>(b)], bits);
-            });
+  const auto order =
+      orderByKey(graph, [bits](const Vec3i& c) { return hilbert3(c, bits); });
   assignContiguousByWeight(order, graph, numParts, p.partOfSite);
   return p;
 }
@@ -196,50 +254,8 @@ Partition GreedyGrowingPartitioner::partition(const SiteGraph& graph,
                                               int numParts) const {
   Partition p;
   p.numParts = numParts;
-  p.partOfSite.assign(static_cast<std::size_t>(graph.numVertices), -1);
-
-  double remaining = graph.totalWeight();
-  int part = 0;
-  double inPart = 0.0;
-  double target = remaining / numParts;
-  std::queue<std::uint64_t> frontier;
-  std::uint64_t nextSeedScan = 0;
-
-  auto assign = [&](std::uint64_t v) {
-    p.partOfSite[static_cast<std::size_t>(v)] = part;
-    const double w = graph.vertexWeight[static_cast<std::size_t>(v)];
-    inPart += w;
-    remaining -= w;
-    for (std::uint64_t e = graph.xadj[static_cast<std::size_t>(v)];
-         e < graph.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-      const auto n = graph.adjncy[static_cast<std::size_t>(e)];
-      if (p.partOfSite[static_cast<std::size_t>(n)] < 0) frontier.push(n);
-    }
-    if (inPart >= target && part + 1 < numParts) {
-      ++part;
-      inPart = 0.0;
-      target = remaining / (numParts - part);
-    }
-  };
-
-  std::uint64_t assigned = 0;
-  while (assigned < graph.numVertices) {
-    if (frontier.empty()) {
-      // Seed (or re-seed after a disconnected component) from the lowest
-      // unassigned id, as HemeLB's basic growing decomposition does.
-      while (p.partOfSite[static_cast<std::size_t>(nextSeedScan)] >= 0) {
-        ++nextSeedScan;
-      }
-      assign(nextSeedScan);
-      ++assigned;
-      continue;
-    }
-    const auto v = frontier.front();
-    frontier.pop();
-    if (p.partOfSite[static_cast<std::size_t>(v)] >= 0) continue;
-    assign(v);
-    ++assigned;
-  }
+  p.partOfSite =
+      greedyGrow(graph.xadj, graph.adjncy, graph.vertexWeight, numParts);
   return p;
 }
 
@@ -247,200 +263,234 @@ Partition GreedyGrowingPartitioner::partition(const SiteGraph& graph,
 
 namespace {
 
-/// Internal weighted graph used across coarsening levels.
+/// One coarse level: 32-bit vertex ids and integer edge weights. Every edge
+/// weight is a sum of unit fine edges, so sums and comparisons are exact.
 struct WGraph {
   std::vector<std::uint64_t> xadj;
-  std::vector<std::uint64_t> adjncy;
-  std::vector<double> edgeWeight;
+  std::vector<std::uint32_t> adjncy;
+  std::vector<std::uint32_t> edgeWeight;
   std::vector<double> vertexWeight;
-
-  std::uint64_t numVertices() const { return xadj.size() - 1; }
 };
 
-WGraph toWGraph(const SiteGraph& g) {
-  WGraph w;
-  w.xadj = g.xadj;
-  w.adjncy = g.adjncy;
-  w.edgeWeight.assign(g.adjncy.size(), 1.0);
-  w.vertexWeight = g.vertexWeight;
-  return w;
+/// Read-only view of a level. The finest level borrows the site graph's
+/// offsets and vertex weights and has no edge weights: every edge weighs 1.
+struct LevelView {
+  std::span<const std::uint64_t> xadj;
+  std::span<const std::uint32_t> adjncy;
+  std::span<const std::uint32_t> edgeWeight;
+  std::span<const double> vertexWeight;
+
+  std::uint32_t numVertices() const {
+    return static_cast<std::uint32_t>(xadj.size() - 1);
+  }
+  std::uint32_t weight(std::uint64_t e) const {
+    return edgeWeight.empty() ? 1u : edgeWeight[e];
+  }
+};
+
+LevelView view(const WGraph& g) {
+  return {g.xadj, g.adjncy, g.edgeWeight, g.vertexWeight};
 }
 
-/// Heavy-edge matching; returns fine->coarse map and the coarse count.
-std::pair<std::vector<std::uint64_t>, std::uint64_t> heavyEdgeMatch(
-    const WGraph& g, Rng& rng) {
-  const auto n = g.numVertices();
-  std::vector<std::uint64_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
+/// Heavy-edge matching; returns fine->coarse map and the coarse count. The
+/// seeded visit order defines the partition, so this stays serial.
+std::pair<std::vector<std::uint32_t>, std::uint32_t> heavyEdgeMatch(
+    const LevelView& g, Rng& rng) {
+  const std::uint32_t n = g.numVertices();
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.uniformInt(i)]);
   }
-  constexpr std::uint64_t kUnmatched = ~0ULL;
-  std::vector<std::uint64_t> match(static_cast<std::size_t>(n), kUnmatched);
-  std::vector<std::uint64_t> coarseOf(static_cast<std::size_t>(n));
-  std::uint64_t coarseCount = 0;
+  // Vertex ids stay below 2^32 - 1, so the all-ones id is free.
+  constexpr std::uint32_t kUnmatched = ~0u;
+  std::vector<std::uint32_t> match(n, kUnmatched);
+  std::vector<std::uint32_t> coarseOf(n);
+  std::uint32_t coarseCount = 0;
   for (const auto v : order) {
-    if (match[static_cast<std::size_t>(v)] != kUnmatched) continue;
-    std::uint64_t best = v;
-    double bestW = -1.0;
-    for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
-         e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-      const auto u = g.adjncy[static_cast<std::size_t>(e)];
-      if (u != v && match[static_cast<std::size_t>(u)] == kUnmatched &&
-          g.edgeWeight[static_cast<std::size_t>(e)] > bestW) {
-        bestW = g.edgeWeight[static_cast<std::size_t>(e)];
+    if (match[v] != kUnmatched) continue;
+    std::uint32_t best = v;
+    std::uint32_t bestW = 0;  // every edge weighs at least 1
+    for (std::uint64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+      const auto u = g.adjncy[e];
+      if (u != v && match[u] == kUnmatched && g.weight(e) > bestW) {
+        bestW = g.weight(e);
         best = u;
+        // With unit weights no later edge can be strictly heavier.
+        if (g.edgeWeight.empty()) break;
       }
     }
-    match[static_cast<std::size_t>(v)] = best;
-    match[static_cast<std::size_t>(best)] = v;
-    coarseOf[static_cast<std::size_t>(v)] = coarseCount;
-    coarseOf[static_cast<std::size_t>(best)] = coarseCount;
+    match[v] = best;
+    match[best] = v;
+    coarseOf[v] = coarseCount;
+    coarseOf[best] = coarseCount;
     ++coarseCount;
   }
   return {std::move(coarseOf), coarseCount};
 }
 
-WGraph buildCoarse(const WGraph& fine, const std::vector<std::uint64_t>& coarseOf,
-                   std::uint64_t coarseCount) {
+/// Contract matched pairs into a coarse CSR: rows in ascending coarse id,
+/// each row's neighbours deduplicated (parallel edge weights add) and in
+/// ascending coarse id, vertex weights summed in ascending fine id. Rows are
+/// split across workers by contiguous coarse-id ranges; every buffer a
+/// worker writes is sized here first.
+WGraph buildCoarse(const LevelView& fine,
+                   const std::vector<std::uint32_t>& coarseOf,
+                   std::uint32_t coarseCount) {
+  const std::uint32_t n = fine.numVertices();
+  // Members of each coarse vertex in ascending fine id (counting sort), and
+  // the member degree sum: an upper bound on each coarse row's length.
+  std::vector<std::uint32_t> memberStart(std::size_t{coarseCount} + 1, 0);
+  std::vector<std::uint64_t> rawStart(std::size_t{coarseCount} + 1, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    ++memberStart[coarseOf[v] + 1];
+    rawStart[coarseOf[v] + 1] += fine.xadj[v + 1] - fine.xadj[v];
+  }
+  for (std::uint32_t c = 0; c < coarseCount; ++c) {
+    memberStart[c + 1] += memberStart[c];
+    rawStart[c + 1] += rawStart[c];
+  }
+  std::vector<std::uint32_t> members(n);
+  {
+    std::vector<std::uint32_t> next(memberStart.begin(), memberStart.end() - 1);
+    for (std::uint32_t v = 0; v < n; ++v) members[next[coarseOf[v]]++] = v;
+  }
+
+  const unsigned workers = parallel::workerCount(rawStart[coarseCount]);
+  const auto bounds = parallel::splitRanges(
+      coarseCount, workers, [&](std::size_t c) { return rawStart[c]; });
+  // Packed (coarse id << 32 | weight) keys: adding a weight to a key leaves
+  // the id intact because no level's total edge weight reaches 2^32, and
+  // sorting the keys orders a row by coarse id. Left uninitialised, so the
+  // slack of the upper bound is never touched.
+  constexpr std::uint32_t kAbsent = ~0u;
+  const auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(
+      static_cast<std::size_t>(rawStart[coarseCount]));
+  std::vector<std::vector<std::uint32_t>> slotOf(
+      workers, std::vector<std::uint32_t>(coarseCount, kAbsent));
   WGraph c;
-  c.vertexWeight.assign(static_cast<std::size_t>(coarseCount), 0.0);
-  std::vector<std::vector<std::pair<std::uint64_t, double>>> adj(
-      static_cast<std::size_t>(coarseCount));
-  for (std::uint64_t v = 0; v < fine.numVertices(); ++v) {
-    const auto cv = coarseOf[static_cast<std::size_t>(v)];
-    c.vertexWeight[static_cast<std::size_t>(cv)] +=
-        fine.vertexWeight[static_cast<std::size_t>(v)];
-    for (std::uint64_t e = fine.xadj[static_cast<std::size_t>(v)];
-         e < fine.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-      const auto cu = coarseOf[static_cast<std::size_t>(
-          fine.adjncy[static_cast<std::size_t>(e)])];
-      if (cu == cv) continue;
-      adj[static_cast<std::size_t>(cv)].push_back(
-          {cu, fine.edgeWeight[static_cast<std::size_t>(e)]});
-    }
-  }
-  c.xadj.push_back(0);
-  for (auto& edges : adj) {
-    std::sort(edges.begin(), edges.end());
-    // Merge parallel edges (weights add).
-    std::size_t i = 0;
-    while (i < edges.size()) {
-      std::uint64_t u = edges[i].first;
-      double w = 0.0;
-      while (i < edges.size() && edges[i].first == u) {
-        w += edges[i].second;
-        ++i;
+  c.xadj.assign(std::size_t{coarseCount} + 1, 0);
+  c.vertexWeight.resize(coarseCount);
+  parallel::runWorkers(workers, [&](unsigned w) {
+    auto& slot = slotOf[w];
+    std::uint64_t out = rawStart[bounds[w]];
+    for (std::size_t cv = bounds[w]; cv < bounds[w + 1]; ++cv) {
+      const std::uint64_t rowBegin = out;
+      double weight = 0.0;
+      for (std::uint32_t m = memberStart[cv]; m < memberStart[cv + 1]; ++m) {
+        const auto v = members[m];
+        weight += fine.vertexWeight[v];
+        for (std::uint64_t e = fine.xadj[v]; e < fine.xadj[v + 1]; ++e) {
+          const auto cu = coarseOf[fine.adjncy[e]];
+          if (cu == cv) continue;
+          if (slot[cu] == kAbsent) {
+            slot[cu] = static_cast<std::uint32_t>(out - rowBegin);
+            keys[out++] = (std::uint64_t{cu} << 32) | fine.weight(e);
+          } else {
+            keys[rowBegin + slot[cu]] += fine.weight(e);
+          }
+        }
       }
-      c.adjncy.push_back(u);
-      c.edgeWeight.push_back(w);
+      for (std::uint64_t k = rowBegin; k < out; ++k) {
+        slot[keys[k] >> 32] = kAbsent;
+      }
+      std::sort(keys.get() + rowBegin, keys.get() + out);
+      c.vertexWeight[cv] = weight;
+      c.xadj[cv + 1] = out - rowBegin;
     }
-    c.xadj.push_back(c.adjncy.size());
+  });
+  slotOf = {};
+  for (std::uint32_t cv = 0; cv < coarseCount; ++cv) {
+    c.xadj[cv + 1] += c.xadj[cv];
   }
+  // Concatenate the workers' compacted slices in range order.
+  c.adjncy.resize(static_cast<std::size_t>(c.xadj[coarseCount]));
+  c.edgeWeight.resize(c.adjncy.size());
+  parallel::runWorkers(workers, [&](unsigned w) {
+    const std::uint64_t src = rawStart[bounds[w]];
+    const std::uint64_t dst = c.xadj[bounds[w]];
+    const std::uint64_t len = c.xadj[bounds[w + 1]] - dst;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      c.adjncy[dst + i] = static_cast<std::uint32_t>(keys[src + i] >> 32);
+      c.edgeWeight[dst + i] = static_cast<std::uint32_t>(keys[src + i]);
+    }
+  });
   return c;
 }
 
-/// Greedy growing on a weighted internal graph (initial coarse partition).
-std::vector<int> greedyGrowWGraph(const WGraph& g, int numParts) {
-  const auto n = g.numVertices();
-  std::vector<int> partOf(static_cast<std::size_t>(n), -1);
-  double remaining = 0.0;
-  for (double w : g.vertexWeight) remaining += w;
-  int part = 0;
-  double inPart = 0.0;
-  double target = remaining / numParts;
-  std::queue<std::uint64_t> frontier;
-  std::uint64_t seedScan = 0;
-  std::uint64_t assigned = 0;
-  auto assign = [&](std::uint64_t v) {
-    partOf[static_cast<std::size_t>(v)] = part;
-    const double w = g.vertexWeight[static_cast<std::size_t>(v)];
-    inPart += w;
-    remaining -= w;
-    for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
-         e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-      const auto u = g.adjncy[static_cast<std::size_t>(e)];
-      if (partOf[static_cast<std::size_t>(u)] < 0) frontier.push(u);
-    }
-    if (inPart >= target && part + 1 < numParts) {
-      ++part;
-      inPart = 0.0;
-      target = remaining / (numParts - part);
-    }
-  };
-  while (assigned < n) {
-    if (frontier.empty()) {
-      while (partOf[static_cast<std::size_t>(seedScan)] >= 0) ++seedScan;
-      assign(seedScan);
-      ++assigned;
-      continue;
-    }
-    const auto v = frontier.front();
-    frontier.pop();
-    if (partOf[static_cast<std::size_t>(v)] >= 0) continue;
-    assign(v);
-    ++assigned;
-  }
-  return partOf;
-}
-
 /// Boundary KL/FM-style refinement sweeps; improves edge cut under a
-/// balance constraint and never empties a part.
-void refine(const WGraph& g, std::vector<int>& partOf, int numParts,
+/// balance constraint and never empties a part. Each vertex keeps a count
+/// of its edges into other parts, updated on every move, so interior
+/// vertices are skipped without scanning their edges.
+void refine(const LevelView& g, std::vector<int>& partOf, int numParts,
             double tolerance, int passes) {
+  const std::uint32_t n = g.numVertices();
   std::vector<double> loads(static_cast<std::size_t>(numParts), 0.0);
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(numParts), 0);
   double total = 0.0;
-  for (std::uint64_t v = 0; v < g.numVertices(); ++v) {
-    const auto p = static_cast<std::size_t>(partOf[static_cast<std::size_t>(v)]);
-    loads[p] += g.vertexWeight[static_cast<std::size_t>(v)];
+  std::vector<std::uint32_t> external(n, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const auto p = static_cast<std::size_t>(partOf[v]);
+    loads[p] += g.vertexWeight[v];
     counts[p] += 1;
-    total += g.vertexWeight[static_cast<std::size_t>(v)];
+    total += g.vertexWeight[v];
+    for (std::uint64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+      if (partOf[g.adjncy[e]] != partOf[v]) ++external[v];
+    }
   }
   const double maxLoad = tolerance * total / numParts;
 
-  std::vector<double> connect(static_cast<std::size_t>(numParts), 0.0);
+  std::vector<std::uint64_t> connect(static_cast<std::size_t>(numParts), 0);
   for (int pass = 0; pass < passes; ++pass) {
     bool moved = false;
-    for (std::uint64_t v = 0; v < g.numVertices(); ++v) {
-      const int own = partOf[static_cast<std::size_t>(v)];
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (external[v] == 0) continue;
+      const int own = partOf[v];
       if (counts[static_cast<std::size_t>(own)] <= 1) continue;
-      std::fill(connect.begin(), connect.end(), 0.0);
-      bool boundary = false;
-      for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
-           e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-        const int np = partOf[static_cast<std::size_t>(
-            g.adjncy[static_cast<std::size_t>(e)])];
-        connect[static_cast<std::size_t>(np)] +=
-            g.edgeWeight[static_cast<std::size_t>(e)];
-        if (np != own) boundary = true;
+      std::fill(connect.begin(), connect.end(), 0);
+      for (std::uint64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+        connect[static_cast<std::size_t>(partOf[g.adjncy[e]])] += g.weight(e);
       }
-      if (!boundary) continue;
-      const double w = g.vertexWeight[static_cast<std::size_t>(v)];
+      const double w = g.vertexWeight[v];
+      const auto ownConnect =
+          static_cast<std::int64_t>(connect[static_cast<std::size_t>(own)]);
       int bestPart = own;
-      double bestGain = 0.0;
+      std::int64_t bestGain = 0;
       for (int q = 0; q < numParts; ++q) {
-        if (q == own || connect[static_cast<std::size_t>(q)] <= 0.0) continue;
-        if (loads[static_cast<std::size_t>(q)] + w > maxLoad) continue;
-        const double gain = connect[static_cast<std::size_t>(q)] -
-                            connect[static_cast<std::size_t>(own)];
-        const bool balanceWin = loads[static_cast<std::size_t>(own)] -
-                                    loads[static_cast<std::size_t>(q)] >
-                                w;
+        const auto qs = static_cast<std::size_t>(q);
+        if (q == own || connect[qs] == 0) continue;
+        if (loads[qs] + w > maxLoad) continue;
+        const std::int64_t gain =
+            static_cast<std::int64_t>(connect[qs]) - ownConnect;
+        const bool balanceWin =
+            loads[static_cast<std::size_t>(own)] - loads[qs] > w;
         if (gain > bestGain ||
-            (gain == bestGain && bestPart == own && gain >= 0.0 &&
+            (gain == bestGain && bestPart == own && gain >= 0 &&
              balanceWin)) {
           bestGain = gain;
           bestPart = q;
         }
       }
       if (bestPart != own) {
-        partOf[static_cast<std::size_t>(v)] = bestPart;
+        partOf[v] = bestPart;
         loads[static_cast<std::size_t>(own)] -= w;
         loads[static_cast<std::size_t>(bestPart)] += w;
         counts[static_cast<std::size_t>(own)] -= 1;
         counts[static_cast<std::size_t>(bestPart)] += 1;
         moved = true;
+        std::uint32_t ext = 0;
+        for (std::uint64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+          const auto u = g.adjncy[e];
+          const int pu = partOf[u];
+          if (pu != bestPart) ++ext;
+          if (u == v) continue;
+          if (pu == own) {
+            ++external[u];
+          } else if (pu == bestPart) {
+            --external[u];
+          }
+        }
+        external[v] = ext;
       }
     }
     if (!moved) break;
@@ -452,38 +502,58 @@ void refine(const WGraph& g, std::vector<int>& partOf, int numParts,
 Partition MultilevelKWayPartitioner::partition(const SiteGraph& graph,
                                                int numParts) const {
   HEMO_CHECK(graph.numVertices >= static_cast<std::uint64_t>(numParts));
+  // 32-bit ids, and room for every edge-weight sum (bounded by the finest
+  // level's edge count) below 2^32.
+  HEMO_CHECK(graph.numVertices < (std::uint64_t{1} << 32));
+  HEMO_CHECK(graph.adjncy.size() < (std::uint64_t{1} << 32));
+  HEMO_CHECK(graph.xadj.size() == graph.numVertices + 1);
   Partition result;
   result.numParts = numParts;
 
-  // Coarsening chain.
+  std::vector<std::uint32_t> finestAdjncy(graph.adjncy.size());
+  const unsigned workers = parallel::workerCount(finestAdjncy.size());
+  const auto bounds = parallel::splitRanges(
+      finestAdjncy.size(), workers,
+      [](std::size_t e) { return static_cast<std::uint64_t>(e); });
+  parallel::runWorkers(workers, [&](unsigned w) {
+    for (std::size_t e = bounds[w]; e < bounds[w + 1]; ++e) {
+      finestAdjncy[e] = static_cast<std::uint32_t>(graph.adjncy[e]);
+    }
+  });
+  const LevelView finest{graph.xadj, finestAdjncy, {}, graph.vertexWeight};
+
+  // Coarsening chain: levels[i] is level i + 1, coarseMaps[i] maps level i
+  // onto it.
   std::vector<WGraph> levels;
-  std::vector<std::vector<std::uint64_t>> coarseMaps;
-  levels.push_back(toWGraph(graph));
+  std::vector<std::vector<std::uint32_t>> coarseMaps;
+  LevelView current = finest;
   Rng rng(options_.seed);
   const std::uint64_t coarseTarget =
       options_.coarsestVerticesPerPart * static_cast<std::uint64_t>(numParts);
-  while (levels.back().numVertices() > coarseTarget) {
-    auto [coarseOf, count] = heavyEdgeMatch(levels.back(), rng);
+  while (current.numVertices() > coarseTarget) {
+    auto [coarseOf, count] = heavyEdgeMatch(current, rng);
     // Matching stalled (e.g. star graphs): stop coarsening.
-    if (count > levels.back().numVertices() * 9 / 10) break;
-    WGraph coarse = buildCoarse(levels.back(), coarseOf, count);
+    if (count > std::uint64_t{current.numVertices()} * 9 / 10) break;
+    levels.push_back(buildCoarse(current, coarseOf, count));
     coarseMaps.push_back(std::move(coarseOf));
-    levels.push_back(std::move(coarse));
+    current = view(levels.back());
   }
 
-  // Initial partition on the coarsest graph, then uncoarsen + refine.
-  std::vector<int> partOf = greedyGrowWGraph(levels.back(), numParts);
-  refine(levels.back(), partOf, numParts, options_.imbalanceTolerance,
+  // Initial partition on the coarsest graph, then uncoarsen + refine,
+  // freeing each coarse level once it has been projected.
+  std::vector<int> partOf =
+      greedyGrow(current.xadj, current.adjncy, current.vertexWeight, numParts);
+  refine(current, partOf, numParts, options_.imbalanceTolerance,
          options_.refinementPasses);
-  for (std::size_t level = coarseMaps.size(); level-- > 0;) {
-    const auto& map = coarseMaps[level];
+  while (!coarseMaps.empty()) {
+    const auto& map = coarseMaps.back();
     std::vector<int> finer(map.size());
-    for (std::size_t v = 0; v < map.size(); ++v) {
-      finer[v] = partOf[static_cast<std::size_t>(map[v])];
-    }
+    for (std::size_t v = 0; v < map.size(); ++v) finer[v] = partOf[map[v]];
     partOf = std::move(finer);
-    refine(levels[level], partOf, numParts, options_.imbalanceTolerance,
-           options_.refinementPasses);
+    coarseMaps.pop_back();
+    levels.pop_back();
+    refine(levels.empty() ? finest : view(levels.back()), partOf, numParts,
+           options_.imbalanceTolerance, options_.refinementPasses);
   }
   result.partOfSite = std::move(partOf);
   return result;

@@ -5,7 +5,8 @@
 # overlap path (send buffers filled by the frontier pass, bulk compute
 # racing in-flight messages, receives scattered into fNext), the
 # telemetry SPSC trace ring (rank thread producing, driver/test draining),
-# and the serving broker (N client threads subscribing/receiving against
+# the partitioner's worker threads (site graph, k-way coarsening), and the
+# serving broker (N client threads subscribing/receiving against
 # the rank-0 serving thread) are exactly the kind of code TSan can vet.
 # Usage: tests/run_tsan.sh [build-dir]
 # Also registered under `ctest -L sanitize` when -DHEMO_SANITIZE_TESTS=ON.
@@ -18,7 +19,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHEMO_SANITIZE=thread
 cmake --build "$build_dir" -j --target test_lb test_lb_fused test_telemetry \
-  test_serve test_relay test_resilience test_recovery test_migration
+  test_serve test_relay test_resilience test_recovery test_migration test_partition
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_lb"
@@ -29,4 +30,5 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_resilience"
 "$build_dir/tests/test_recovery"
 "$build_dir/tests/test_migration"
+"$build_dir/tests/test_partition"
 echo "TSan run clean."

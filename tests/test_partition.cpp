@@ -4,14 +4,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <numeric>
+#include <queue>
+#include <string>
+#include <thread>
 
+#include "core/preprocess.hpp"
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
 #include "partition/graph.hpp"
 #include "partition/metrics.hpp"
 #include "partition/partitioners.hpp"
 #include "partition/repartition.hpp"
+#include "util/hilbert.hpp"
+#include "util/morton.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace hemo::partition {
@@ -408,6 +419,410 @@ TEST_F(PartitionFixture, RebalanceMovesScaleWithImbalance) {
   const auto mild = rebalance(*graph_, p, costWith(1.5));
   const auto severe = rebalance(*graph_, p, costWith(8.0));
   EXPECT_LT(mild.sitesMoved, severe.sitesMoved);
+}
+
+// --- Reference partitioners -------------------------------------------------
+//
+// The serial multilevel k-way (per-vertex pair lists, uint64 ids, double
+// edge weights) and the comparator-sorted curve partitioners that the
+// production code must reproduce bit for bit.
+
+namespace oracle {
+
+struct WGraph {
+  std::vector<std::uint64_t> xadj;
+  std::vector<std::uint64_t> adjncy;
+  std::vector<double> edgeWeight;
+  std::vector<double> vertexWeight;
+
+  std::uint64_t numVertices() const { return xadj.size() - 1; }
+};
+
+WGraph toWGraph(const SiteGraph& g) {
+  WGraph w;
+  w.xadj = g.xadj;
+  w.adjncy = g.adjncy;
+  w.edgeWeight.assign(g.adjncy.size(), 1.0);
+  w.vertexWeight = g.vertexWeight;
+  return w;
+}
+
+std::pair<std::vector<std::uint64_t>, std::uint64_t> heavyEdgeMatch(
+    const WGraph& g, Rng& rng) {
+  const auto n = g.numVertices();
+  std::vector<std::uint64_t> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniformInt(i)]);
+  }
+  constexpr std::uint64_t kUnmatched = ~0ULL;
+  std::vector<std::uint64_t> match(static_cast<std::size_t>(n), kUnmatched);
+  std::vector<std::uint64_t> coarseOf(static_cast<std::size_t>(n));
+  std::uint64_t coarseCount = 0;
+  for (const auto v : order) {
+    if (match[v] != kUnmatched) continue;
+    std::uint64_t best = v;
+    double bestW = -1.0;
+    for (std::uint64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+      const auto u = g.adjncy[e];
+      if (u != v && match[u] == kUnmatched && g.edgeWeight[e] > bestW) {
+        bestW = g.edgeWeight[e];
+        best = u;
+      }
+    }
+    match[v] = best;
+    match[best] = v;
+    coarseOf[v] = coarseCount;
+    coarseOf[best] = coarseCount;
+    ++coarseCount;
+  }
+  return {std::move(coarseOf), coarseCount};
+}
+
+WGraph buildCoarse(const WGraph& fine,
+                   const std::vector<std::uint64_t>& coarseOf,
+                   std::uint64_t coarseCount) {
+  WGraph c;
+  c.vertexWeight.assign(static_cast<std::size_t>(coarseCount), 0.0);
+  std::vector<std::vector<std::pair<std::uint64_t, double>>> adj(
+      static_cast<std::size_t>(coarseCount));
+  for (std::uint64_t v = 0; v < fine.numVertices(); ++v) {
+    const auto cv = coarseOf[v];
+    c.vertexWeight[cv] += fine.vertexWeight[v];
+    for (std::uint64_t e = fine.xadj[v]; e < fine.xadj[v + 1]; ++e) {
+      const auto cu = coarseOf[fine.adjncy[e]];
+      if (cu == cv) continue;
+      adj[cv].push_back({cu, fine.edgeWeight[e]});
+    }
+  }
+  c.xadj.push_back(0);
+  for (auto& edges : adj) {
+    std::sort(edges.begin(), edges.end());
+    std::size_t i = 0;
+    while (i < edges.size()) {
+      const std::uint64_t u = edges[i].first;
+      double w = 0.0;
+      while (i < edges.size() && edges[i].first == u) {
+        w += edges[i].second;
+        ++i;
+      }
+      c.adjncy.push_back(u);
+      c.edgeWeight.push_back(w);
+    }
+    c.xadj.push_back(c.adjncy.size());
+  }
+  return c;
+}
+
+std::vector<int> greedyGrowWGraph(const WGraph& g, int numParts) {
+  const auto n = g.numVertices();
+  std::vector<int> partOf(static_cast<std::size_t>(n), -1);
+  double remaining = 0.0;
+  for (double w : g.vertexWeight) remaining += w;
+  int part = 0;
+  double inPart = 0.0;
+  double target = remaining / numParts;
+  std::queue<std::uint64_t> frontier;
+  std::uint64_t seedScan = 0;
+  std::uint64_t assigned = 0;
+  auto assign = [&](std::uint64_t v) {
+    partOf[v] = part;
+    const double w = g.vertexWeight[v];
+    inPart += w;
+    remaining -= w;
+    for (std::uint64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+      const auto u = g.adjncy[e];
+      if (partOf[u] < 0) frontier.push(u);
+    }
+    if (inPart >= target && part + 1 < numParts) {
+      ++part;
+      inPart = 0.0;
+      target = remaining / (numParts - part);
+    }
+  };
+  while (assigned < n) {
+    if (frontier.empty()) {
+      while (partOf[seedScan] >= 0) ++seedScan;
+      assign(seedScan);
+      ++assigned;
+      continue;
+    }
+    const auto v = frontier.front();
+    frontier.pop();
+    if (partOf[v] >= 0) continue;
+    assign(v);
+    ++assigned;
+  }
+  return partOf;
+}
+
+void refine(const WGraph& g, std::vector<int>& partOf, int numParts,
+            double tolerance, int passes) {
+  std::vector<double> loads(static_cast<std::size_t>(numParts), 0.0);
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(numParts), 0);
+  double total = 0.0;
+  for (std::uint64_t v = 0; v < g.numVertices(); ++v) {
+    const auto p = static_cast<std::size_t>(partOf[v]);
+    loads[p] += g.vertexWeight[v];
+    counts[p] += 1;
+    total += g.vertexWeight[v];
+  }
+  const double maxLoad = tolerance * total / numParts;
+  std::vector<double> connect(static_cast<std::size_t>(numParts), 0.0);
+  for (int pass = 0; pass < passes; ++pass) {
+    bool moved = false;
+    for (std::uint64_t v = 0; v < g.numVertices(); ++v) {
+      const int own = partOf[v];
+      if (counts[static_cast<std::size_t>(own)] <= 1) continue;
+      std::fill(connect.begin(), connect.end(), 0.0);
+      bool boundary = false;
+      for (std::uint64_t e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
+        const int np = partOf[g.adjncy[e]];
+        connect[static_cast<std::size_t>(np)] += g.edgeWeight[e];
+        if (np != own) boundary = true;
+      }
+      if (!boundary) continue;
+      const double w = g.vertexWeight[v];
+      int bestPart = own;
+      double bestGain = 0.0;
+      for (int q = 0; q < numParts; ++q) {
+        const auto qs = static_cast<std::size_t>(q);
+        const auto os = static_cast<std::size_t>(own);
+        if (q == own || connect[qs] <= 0.0) continue;
+        if (loads[qs] + w > maxLoad) continue;
+        const double gain = connect[qs] - connect[os];
+        const bool balanceWin = loads[os] - loads[qs] > w;
+        if (gain > bestGain ||
+            (gain == bestGain && bestPart == own && gain >= 0.0 &&
+             balanceWin)) {
+          bestGain = gain;
+          bestPart = q;
+        }
+      }
+      if (bestPart != own) {
+        partOf[v] = bestPart;
+        loads[static_cast<std::size_t>(own)] -= w;
+        loads[static_cast<std::size_t>(bestPart)] += w;
+        counts[static_cast<std::size_t>(own)] -= 1;
+        counts[static_cast<std::size_t>(bestPart)] += 1;
+        moved = true;
+      }
+    }
+    if (!moved) break;
+  }
+}
+
+std::vector<int> kway(const SiteGraph& graph, int numParts) {
+  const MultilevelKWayPartitioner::Options options;
+  std::vector<WGraph> levels;
+  std::vector<std::vector<std::uint64_t>> coarseMaps;
+  levels.push_back(toWGraph(graph));
+  Rng rng(options.seed);
+  const std::uint64_t coarseTarget =
+      options.coarsestVerticesPerPart * static_cast<std::uint64_t>(numParts);
+  while (levels.back().numVertices() > coarseTarget) {
+    auto [coarseOf, count] = heavyEdgeMatch(levels.back(), rng);
+    if (count > levels.back().numVertices() * 9 / 10) break;
+    WGraph coarse = buildCoarse(levels.back(), coarseOf, count);
+    coarseMaps.push_back(std::move(coarseOf));
+    levels.push_back(std::move(coarse));
+  }
+  std::vector<int> partOf = greedyGrowWGraph(levels.back(), numParts);
+  refine(levels.back(), partOf, numParts, options.imbalanceTolerance,
+         options.refinementPasses);
+  for (std::size_t level = coarseMaps.size(); level-- > 0;) {
+    const auto& map = coarseMaps[level];
+    std::vector<int> finer(map.size());
+    for (std::size_t v = 0; v < map.size(); ++v) finer[v] = partOf[map[v]];
+    partOf = std::move(finer);
+    refine(levels[level], partOf, numParts, options.imbalanceTolerance,
+           options.refinementPasses);
+  }
+  return partOf;
+}
+
+void assignContiguousByWeight(const std::vector<std::uint64_t>& order,
+                              const SiteGraph& graph, int numParts,
+                              std::vector<int>& partOf) {
+  double remaining = 0.0;
+  for (const auto v : order) remaining += graph.vertexWeight[v];
+  int part = 0;
+  double inPart = 0.0;
+  double target = remaining / numParts;
+  for (const auto v : order) {
+    partOf[v] = part;
+    const double w = graph.vertexWeight[v];
+    inPart += w;
+    remaining -= w;
+    if (inPart >= target && part + 1 < numParts) {
+      ++part;
+      inPart = 0.0;
+      target = remaining / (numParts - part);
+    }
+  }
+}
+
+/// Sort the ids with a comparator that evaluates the curve key per compare.
+template <typename Key>
+std::vector<int> curve(const SiteGraph& graph, int numParts, const Key& key) {
+  std::vector<std::uint64_t> order(graph.numVertices);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::uint64_t a, std::uint64_t b) {
+    return key(graph.coords[a]) < key(graph.coords[b]);
+  });
+  std::vector<int> partOf(graph.numVertices, 0);
+  assignContiguousByWeight(order, graph, numParts, partOf);
+  return partOf;
+}
+
+int hilbertBits(const SiteGraph& graph) {
+  int maxCoord = 1;
+  for (const auto& c : graph.coords) {
+    maxCoord = std::max({maxCoord, c.x, c.y, c.z});
+  }
+  int bits = 1;
+  while ((1 << bits) <= maxCoord) ++bits;
+  return bits;
+}
+
+}  // namespace oracle
+
+// --- Bit-identity of the production partitioners against the oracles ------
+
+/// Aneurysm lattices of 1657, 25817 and 74015 sites.
+constexpr double kOracleVoxels[] = {0.235, 0.095, 0.067};
+
+enum class Weights { kUnit, kVisAware, kFractional };
+
+struct OracleInput {
+  geometry::SparseLattice lattice;
+  SiteGraph graph;
+};
+
+/// One lattice + graph per voxel size, built once per process.
+const OracleInput& oracleInput(double voxel) {
+  static std::map<double, std::unique_ptr<OracleInput>> cache;
+  auto& slot = cache[voxel];
+  if (!slot) {
+    geometry::VoxelizeOptions opt;
+    opt.voxelSize = voxel;
+    auto lattice =
+        geometry::voxelize(geometry::makeAneurysmVessel(6.0, 1.0, 1.0), opt);
+    auto graph = buildSiteGraph(lattice);
+    slot = std::make_unique<OracleInput>(
+        OracleInput{std::move(lattice), std::move(graph)});
+  }
+  return *slot;
+}
+
+SiteGraph weightedGraph(const OracleInput& in, Weights kind) {
+  SiteGraph g = in.graph;
+  if (kind == Weights::kVisAware) {
+    core::PreprocessConfig cfg;
+    cfg.visAware = true;
+    cfg.visRegion = [](const Vec3d& w) { return w.x > 2.5; };
+    g.vertexWeight = core::makeSiteCosts(in.lattice, cfg);
+  } else if (kind == Weights::kFractional) {
+    // Non-integer costs pin the order in which vertex weights are summed.
+    for (std::uint64_t v = 0; v < g.numVertices; ++v) {
+      g.vertexWeight[v] = 1.0 + 0.37 * static_cast<double>(v % 7);
+    }
+  }
+  return g;
+}
+
+class KWayOracleTest
+    : public ::testing::TestWithParam<std::tuple<int, int, Weights>> {};
+
+std::string oracleCaseName(
+    const ::testing::TestParamInfo<KWayOracleTest::ParamType>& info) {
+  constexpr const char* kSize[] = {"Sites1k7", "Sites26k", "Sites74k"};
+  constexpr const char* kWeights[] = {"Unit", "VisAware", "Fractional"};
+  const auto [size, parts, kind] = info.param;
+  return std::string(kSize[size]) + "_" + std::to_string(parts) + "Parts_" +
+         kWeights[static_cast<int>(kind)];
+}
+
+TEST_P(KWayOracleTest, PartOfSiteBitIdentical) {
+  const auto [size, parts, kind] = GetParam();
+  const auto& in = oracleInput(kOracleVoxels[size]);
+  const SiteGraph g = weightedGraph(in, kind);
+  const auto p = MultilevelKWayPartitioner().partition(g, parts);
+  EXPECT_EQ(p.partOfSite, oracle::kway(g, parts))
+      << g.numVertices << " sites, " << parts << " parts";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Aneurysm, KWayOracleTest,
+    ::testing::Combine(::testing::Values(0, 1, 2),
+                       ::testing::Values(2, 3, 4, 8, 16),
+                       ::testing::Values(Weights::kUnit, Weights::kVisAware,
+                                         Weights::kFractional)),
+    oracleCaseName);
+
+TEST(KWayOracle, LargestCaseSplitsAcrossWorkers) {
+  // The 74k-site lattice must exercise the multi-worker coarsening and
+  // site-graph paths whenever the host has more than one core.
+  const auto& g = oracleInput(kOracleVoxels[2]).graph;
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GT(parallel::workerCount(g.adjncy.size()), 1u);
+  }
+}
+
+TEST(SiteGraphOracle, EqualsSerialNeighborScan) {
+  const auto& in = oracleInput(kOracleVoxels[2]);
+  const auto& lat = in.lattice;
+  std::vector<std::uint64_t> xadj{0};
+  std::vector<std::uint64_t> adjncy;
+  std::vector<Vec3i> coords;
+  for (std::uint64_t v = 0; v < lat.numFluidSites(); ++v) {
+    coords.push_back(lat.sitePosition(v));
+    for (int d = 0; d < geometry::kNumDirections; ++d) {
+      const auto n = lat.neighborId(v, d);
+      if (n >= 0) adjncy.push_back(static_cast<std::uint64_t>(n));
+    }
+    xadj.push_back(adjncy.size());
+  }
+  EXPECT_EQ(in.graph.numVertices, lat.numFluidSites());
+  EXPECT_EQ(in.graph.xadj, xadj);
+  EXPECT_EQ(in.graph.adjncy, adjncy);
+  EXPECT_EQ(in.graph.coords, coords);
+  EXPECT_EQ(in.graph.vertexWeight,
+            std::vector<double>(lat.numFluidSites(), 1.0));
+}
+
+TEST(GreedyOracle, SharedGrowMatchesReference) {
+  // GreedyGrowingPartitioner and the k-way initial partition share one
+  // growing routine; it must equal the reference BFS on the site graph.
+  for (const double voxel : {kOracleVoxels[0], kOracleVoxels[1]}) {
+    const auto& in = oracleInput(voxel);
+    for (const auto kind : {Weights::kUnit, Weights::kFractional}) {
+      const SiteGraph g = weightedGraph(in, kind);
+      for (const int parts : {2, 3, 8, 16}) {
+        EXPECT_EQ(GreedyGrowingPartitioner().partition(g, parts).partOfSite,
+                  oracle::greedyGrowWGraph(oracle::toWGraph(g), parts));
+      }
+    }
+  }
+}
+
+TEST(CurveOracle, KeyOnceSortMatchesComparatorSort) {
+  for (const double voxel : {kOracleVoxels[0], kOracleVoxels[1]}) {
+    const auto& in = oracleInput(voxel);
+    for (const auto kind : {Weights::kUnit, Weights::kFractional}) {
+      const SiteGraph g = weightedGraph(in, kind);
+      const int bits = oracle::hilbertBits(g);
+      for (const int parts : {2, 3, 8, 16}) {
+        EXPECT_EQ(SfcPartitioner().partition(g, parts).partOfSite,
+                  oracle::curve(g, parts,
+                                [](const Vec3i& c) { return morton3(c); }));
+        EXPECT_EQ(HilbertPartitioner().partition(g, parts).partOfSite,
+                  oracle::curve(g, parts, [bits](const Vec3i& c) {
+                    return hilbert3(c, bits);
+                  }));
+      }
+    }
+  }
 }
 
 }  // namespace

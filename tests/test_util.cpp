@@ -1,15 +1,18 @@
 // Unit tests for the util module: vectors, boxes, Morton codes, RNG,
-// statistics and invariant checking.
+// statistics, invariant checking and the range fork/join helper.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/bbox.hpp"
 #include "util/check.hpp"
 #include "util/morton.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -307,6 +310,50 @@ TEST(Hilbert, SegmentsMoreCompactThanMorton) {
   EXPECT_LE(hilbertVol, mortonVol);
   // Hilbert length-64 segments are connected, so they fit in tight boxes.
   EXPECT_LT(hilbertVol, 200.0);
+}
+
+TEST(Parallel, WorkerCountRespectsMinimumWorkAndCores) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(parallel::workerCount(0), 1u);
+  EXPECT_EQ(parallel::workerCount(parallel::kMinWorkPerWorker * 2 - 1), 1u);
+  EXPECT_EQ(parallel::workerCount(parallel::kMinWorkPerWorker * 2),
+            std::min(2u, cores));
+  EXPECT_EQ(parallel::workerCount(parallel::kMinWorkPerWorker * 1000), cores);
+}
+
+TEST(Parallel, SplitRangesCoversAndBalancesByPrefix) {
+  // Item i costs i % 5, so a balanced split is not an even split by count.
+  std::vector<std::uint64_t> prefix{0};
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    prefix.push_back(prefix.back() + i % 5);
+  }
+  const auto bounds = parallel::splitRanges(
+      1000, 4, [&](std::size_t i) { return prefix[i]; });
+  ASSERT_EQ(bounds.size(), 5u);
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), 1000u);
+  for (unsigned k = 0; k < 4; ++k) {
+    EXPECT_LE(bounds[k], bounds[k + 1]);
+    const auto cost = prefix[bounds[k + 1]] - prefix[bounds[k]];
+    EXPECT_NEAR(static_cast<double>(cost), prefix.back() / 4.0, 5.0);
+  }
+  // More parts than items leaves empty ranges, never out-of-range bounds.
+  const auto tiny =
+      parallel::splitRanges(2, 4, [](std::size_t i) { return i; });
+  EXPECT_EQ(tiny, (std::vector<std::size_t>{0, 0, 1, 1, 2}));
+}
+
+TEST(Parallel, RunWorkersRunsEachOnceAndRethrows) {
+  std::vector<int> ran(4, 0);
+  parallel::runWorkers(4, [&](unsigned w) { ++ran[w]; });
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_THROW(parallel::runWorkers(3,
+                                    [](unsigned w) {
+                                      if (w == 2) {
+                                        throw std::runtime_error("worker");
+                                      }
+                                    }),
+               std::runtime_error);
 }
 
 }  // namespace
