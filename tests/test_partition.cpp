@@ -1,6 +1,7 @@
-// Tests for the decomposition substrate: graph construction, all five
-// partitioners (validity + balance + edge-cut sanity), metrics and the
-// diffusive repartitioner.
+// Tests for the decomposition substrate: graph construction, all six
+// partitioners (validity + balance + edge-cut sanity), metrics, the
+// diffusive repartitioner, and bit-identity of the site graph and the
+// k-way, curve and greedy partitioners against serial reference copies.
 
 #include <gtest/gtest.h>
 
