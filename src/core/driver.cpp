@@ -990,8 +990,9 @@ MigrationOutcome SimulationDriver::migrateNow(
   MigrationOutcome out;
 
   if (!repartGraph_) {
+    // Every rank thread builds its own copy, so each builds it inline.
     repartGraph_ = std::make_unique<partition::SiteGraph>(
-        partition::buildSiteGraph(lat));
+        partition::buildSiteGraph(lat, /*useWorkers=*/false));
   }
   auto plan = partition::rebalance(*repartGraph_, domain_->partition(),
                                    siteCost, config_.repartition.options);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -150,6 +151,22 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
 
   std::mutex resultMutex;
 
+  // One partition per survivor count, shared by the rank threads: the first
+  // rank to need it runs the partitioner (and its worker threads) while the
+  // others wait on the mutex. No rank waits in a bounded receive meanwhile,
+  // so a partition slower than the liveness timeout accuses nobody.
+  std::mutex partitionMutex;
+  std::map<int, partition::Partition> partitions;
+  const auto partitionFor = [&](int parts) -> const partition::Partition& {
+    std::lock_guard<std::mutex> lock(partitionMutex);
+    auto it = partitions.find(parts);
+    if (it == partitions.end()) {
+      it = partitions.emplace(parts, partitioner_.partition(graph, parts))
+               .first;
+    }
+    return it->second;
+  };
+
   const auto rankMain = [&](comm::Communicator& world) {
     comm::Communicator comm = world;
     auto& board = rt.deathBoard();
@@ -160,14 +177,8 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
     for (;;) {
       try {
         // (Re)build the full stack on the current survivor group: fresh
-        // partition of the survivors, domain map, solver, pipeline. Rank 0
-        // computes the partition and broadcasts it, so the survivors do not
-        // each run the partitioner (and its worker threads) at once.
-        partition::Partition part;
-        part.numParts = comm.size();
-        if (comm.rank() == 0) part = partitioner_.partition(graph, comm.size());
-        comm.bcastVec(part.partOfSite, 0);
-        lb::DomainMap domain(lattice_, part, comm.rank());
+        // partition of the survivors, domain map, solver, pipeline.
+        lb::DomainMap domain(lattice_, partitionFor(comm.size()), comm.rank());
         DriverConfig cfg = config_;
         if (recovery_.buddy) {
           cfg.buddy.store = &buddy_;

@@ -5,7 +5,8 @@
 
 namespace hemo::partition {
 
-SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice) {
+SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice,
+                         bool useWorkers) {
   HEMO_CHECK(lattice.finalized());
   SiteGraph g;
   g.numVertices = lattice.numFluidSites();
@@ -14,15 +15,17 @@ SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice) {
   g.vertexWeight.assign(n, 1.0);
   g.coords.resize(n);
 
-  // Two passes over the same contiguous site ranges: degrees (into
-  // xadj[v + 1]), a serial prefix sum, then the neighbour fill. Each range
-  // writes only its own sites' slots, so the result equals a serial scan.
+  // Two passes over the same even split into contiguous site ranges:
+  // degrees (into xadj[v + 1]), a serial prefix sum, then the neighbour
+  // fill. Each range writes only its own sites' slots, so the result equals
+  // a serial scan.
   const unsigned workers =
-      parallel::workerCount(g.numVertices * geometry::kNumDirections);
-  const auto bounds = parallel::splitRanges(
-      n, workers, [](std::size_t i) { return static_cast<std::uint64_t>(i); });
+      useWorkers
+          ? parallel::workerCount(g.numVertices * geometry::kNumDirections)
+          : 1;
+  const auto begin = [&](unsigned w) { return n * w / workers; };
   parallel::runWorkers(workers, [&](unsigned w) {
-    for (std::size_t v = bounds[w]; v < bounds[w + 1]; ++v) {
+    for (std::size_t v = begin(w); v < begin(w + 1); ++v) {
       g.coords[v] = lattice.sitePosition(v);
       std::uint64_t degree = 0;
       for (int d = 0; d < geometry::kNumDirections; ++d) {
@@ -34,7 +37,7 @@ SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice) {
   for (std::size_t v = 0; v < n; ++v) g.xadj[v + 1] += g.xadj[v];
   g.adjncy.resize(static_cast<std::size_t>(g.xadj[n]));
   parallel::runWorkers(workers, [&](unsigned w) {
-    for (std::size_t v = bounds[w]; v < bounds[w + 1]; ++v) {
+    for (std::size_t v = begin(w); v < begin(w + 1); ++v) {
       auto e = static_cast<std::size_t>(g.xadj[v]);
       for (int d = 0; d < geometry::kNumDirections; ++d) {
         const auto u = lattice.neighborId(v, d);

@@ -38,7 +38,11 @@ struct SiteGraph {
 };
 
 /// Build the site graph of a finalized lattice. All vertex weights are 1.
-SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice);
+/// With `useWorkers` the build may run on up to hardware_concurrency()
+/// worker threads (util/parallel.hpp); code that runs once per rank thread
+/// passes false, so R ranks do not start R x T threads between them.
+SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice,
+                         bool useWorkers = true);
 
 /// A k-way assignment of graph vertices (sites) to parts (ranks).
 struct Partition {

@@ -510,16 +510,8 @@ Partition MultilevelKWayPartitioner::partition(const SiteGraph& graph,
   Partition result;
   result.numParts = numParts;
 
-  std::vector<std::uint32_t> finestAdjncy(graph.adjncy.size());
-  const unsigned workers = parallel::workerCount(finestAdjncy.size());
-  const auto bounds = parallel::splitRanges(
-      finestAdjncy.size(), workers,
-      [](std::size_t e) { return static_cast<std::uint64_t>(e); });
-  parallel::runWorkers(workers, [&](unsigned w) {
-    for (std::size_t e = bounds[w]; e < bounds[w + 1]; ++e) {
-      finestAdjncy[e] = static_cast<std::uint32_t>(graph.adjncy[e]);
-    }
-  });
+  const std::vector<std::uint32_t> finestAdjncy(graph.adjncy.begin(),
+                                                graph.adjncy.end());
   const LevelView finest{graph.xadj, finestAdjncy, {}, graph.vertexWeight};
 
   // Coarsening chain: levels[i] is level i + 1, coarseMaps[i] maps level i

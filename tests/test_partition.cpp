@@ -790,6 +790,10 @@ TEST(SiteGraphOracle, EqualsSerialNeighborScan) {
   EXPECT_EQ(in.graph.coords, coords);
   EXPECT_EQ(in.graph.vertexWeight,
             std::vector<double>(lat.numFluidSites(), 1.0));
+  const SiteGraph inlineBuild = buildSiteGraph(lat, /*useWorkers=*/false);
+  EXPECT_EQ(inlineBuild.xadj, xadj);
+  EXPECT_EQ(inlineBuild.adjncy, adjncy);
+  EXPECT_EQ(inlineBuild.coords, coords);
 }
 
 TEST(GreedyOracle, SharedGrowMatchesReference) {

@@ -452,6 +452,51 @@ TEST(Recovery, HungRankIsAccusedByTimeoutAndRunRecovers) {
   expectMatchesReference(u, reference);
 }
 
+/// k-way behind a fixed delay, counting its calls.
+class SlowPartitioner : public partition::Partitioner {
+ public:
+  explicit SlowPartitioner(std::chrono::milliseconds delay) : delay_(delay) {}
+  const char* name() const override { return "slow-kway"; }
+  partition::Partition partition(const partition::SiteGraph& graph,
+                                 int numParts) const override {
+    calls_.fetch_add(1);
+    std::this_thread::sleep_for(delay_);
+    return kway_.partition(graph, numParts);
+  }
+  int calls() const { return calls_.load(); }
+
+ private:
+  std::chrono::milliseconds delay_;
+  partition::MultilevelKWayPartitioner kway_;
+  mutable std::atomic<int> calls_{0};
+};
+
+TEST(Recovery, PartitionSlowerThanLivenessTimeoutAccusesNobody) {
+  // The survivors' partition is computed once and shared; while it runs no
+  // rank may wait in a bounded receive, or the healthy ranks would be
+  // declared dead before the first step.
+  const auto lat = tubeLattice();
+  const auto reference = serialReference(lat, 8);
+
+  core::RecoveryConfig rcfg;
+  rcfg.liveness = {true, 400, 5};
+  SlowPartitioner slow(std::chrono::milliseconds(1200));
+
+  std::vector<Vec3d> u(lat.numFluidSites());
+  core::ResilientRunner runner(lat, slow, plainDriverConfig(), rcfg);
+  const auto result = runner.run(
+      4, 8,
+      [&](const lb::DomainMap& domain, core::SimulationDriver& driver,
+          comm::Communicator&) { collectU(domain, driver.solver(), u); });
+
+  ASSERT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.survivors, 4);
+  EXPECT_TRUE(result.events.empty());
+  EXPECT_EQ(slow.calls(), 1);
+  EXPECT_EQ(result.finalStep, 8u);
+  expectMatchesReference(u, reference);
+}
+
 TEST(Recovery, KillBeforeAnySnapshotColdRestartsDeterministically) {
   const auto lat = tubeLattice();
   partition::MultilevelKWayPartitioner kway;
