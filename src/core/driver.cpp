@@ -516,9 +516,17 @@ void SimulationDriver::pollSteering() {
 }
 
 lb::RestoreResult SimulationDriver::restoreLatest() {
-  HEMO_CHECK_MSG(!config_.checkpointDir.empty(),
-                 "restoreLatest needs DriverConfig::checkpointDir");
-  return lb::restoreLatest(config_.checkpointDir, *solver_, *comm_);
+  lb::RestoreResult result{lb::CkptStatus::kOpenFailed, 0,
+                           "no buddy store or checkpoint directory set"};
+  if (config_.buddy.store != nullptr) {
+    result = lb::restoreFromBuddy(*config_.buddy.store, *solver_, *comm_);
+    if (result.ok()) return result;
+    noteFlight("restore: buddy snapshot unavailable (" + result.detail + ")");
+  }
+  if (config_.checkpointEvery > 0 && !config_.checkpointDir.empty()) {
+    result = lb::restoreLatest(config_.checkpointDir, *solver_, *comm_);
+  }
+  return result;
 }
 
 void SimulationDriver::writeDiagnosticDump(const SentinelVerdict& verdict) {
@@ -606,10 +614,7 @@ bool SimulationDriver::sentinelGuard(std::uint64_t step) {
                     << " maxSpeed=" << verdict.maxSpeed;
   }
 
-  const bool canRollback = rollbacksDone_ < config_.sentinel.maxRollbacks &&
-                           config_.checkpointEvery > 0 &&
-                           !config_.checkpointDir.empty();
-  if (canRollback) {
+  if (rollbacksDone_ < config_.sentinel.maxRollbacks) {
     const auto restored = restoreLatest();
     if (restored.ok()) {
       ++rollbacksDone_;
@@ -617,13 +622,13 @@ bool SimulationDriver::sentinelGuard(std::uint64_t step) {
         t->metrics().counter("sentinel.rollbacks").add(1);
       }
       if (comm_->rank() == 0) {
-        HEMO_LOG_WARN() << "sentinel rolled back to checkpointed step "
+        HEMO_LOG_WARN() << "sentinel rolled back to snapshot step "
                         << restored.step << " (rollback " << rollbacksDone_
                         << "/" << config_.sentinel.maxRollbacks << ")";
       }
-      noteFlight("sentinel rollback to checkpointed step " +
+      noteFlight("sentinel rollback to snapshot step " +
                  std::to_string(restored.step));
-      // Checkpoints hold distributions only — steered parameters survive a
+      // Snapshots hold distributions only — steered parameters survive a
       // restore, so the rollback must also revert the most recent change,
       // the prime suspect for the blow-up.
       quarantineLatestChange();
@@ -634,7 +639,7 @@ bool SimulationDriver::sentinelGuard(std::uint64_t step) {
     }
   }
 
-  // Bounded retries exhausted (or no checkpoint to restore): graceful
+  // Bounded retries exhausted (or no snapshot to restore): graceful
   // degradation, not an abort — dump diagnostics and stop cleanly.
   writeDiagnosticDump(verdict);
   noteFlight("sentinel exhausted at step " + std::to_string(step) +
@@ -996,15 +1001,32 @@ MigrationOutcome SimulationDriver::migrateNow(
   }
   auto plan = partition::rebalance(*repartGraph_, domain_->partition(),
                                    siteCost, config_.repartition.options);
+  // The plan is a pure function of (graph, partition, siteCost), which the
+  // caller must pass identically on every rank. A rank whose plan differs
+  // would skip or mis-route the transfer, so the ranks agree on a digest
+  // of it before any of them can return early; on disagreement every rank
+  // keeps the old partition.
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a over the plan
+  for (const int p : plan.partition.partOfSite) {
+    digest = (digest ^ static_cast<std::uint32_t>(p)) * 1099511628211ull;
+  }
+  const auto keepOldPartition = [&](const std::string& why) {
+    const std::string note = "live repartition at step " +
+                             std::to_string(solver_->stepsDone()) +
+                             " failed (" + why + "); keeping the old partition";
+    if (auto* t = telemetry::threadTelemetry()) {
+      t->metrics().counter("repart.failed").add(1);
+    }
+    noteFlight(note);
+    if (comm_->rank() == 0) HEMO_LOG_WARN() << note;
+    return MigrationOutcome{};
+  };
+  if (comm_->allreduceMax(digest) != comm_->allreduceMin(digest)) {
+    return keepOldPartition("repartition plan diverged across ranks");
+  }
   out.sitesMoved = plan.sitesMoved;
   out.imbalanceBefore = plan.imbalanceBefore;
   out.imbalanceAfter = plan.imbalanceAfter;
-  // The plan is a pure function of (graph, partition, siteCost), all
-  // identical on every rank; a diverging plan would deadlock the transfer,
-  // so verify cheaply before touching any state.
-  HEMO_CHECK_MSG(comm_->allreduceMax(plan.sitesMoved) ==
-                     comm_->allreduceMin(plan.sitesMoved),
-                 "repartition plan diverged across ranks");
   if (auto* t = telemetry::threadTelemetry()) {
     auto& m = t->metrics();
     m.counter("repart.triggers").add(1);
@@ -1026,10 +1048,16 @@ MigrationOutcome SimulationDriver::migrateNow(
       std::make_unique<lb::DomainMap>(lat, *newPartition, comm_->rank());
 
   // Data plane: repack distributions onto the new ownership (collective,
-  // layout-agnostic, traffic class kRepart).
+  // layout-agnostic, traffic class kRepart). A failed transfer is typed and
+  // identical on every rank; the old solver, ghosts, octree and brick are
+  // still intact, so the run simply continues on them.
   std::vector<std::vector<double>> columns;
   const auto stats =
       lb::migrateDistributions(*solver_, *newDomain, *comm_, columns);
+  if (!stats.ok()) {
+    return keepOldPartition(std::string("site transfer: ") +
+                            lb::redistributeStatusName(stats.status));
+  }
 
   // Rebuild the solver over the new domain, carrying every piece of
   // steerable state: LbParams (tau/body force already reflect steering),

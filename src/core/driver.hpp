@@ -122,7 +122,8 @@ struct DriverConfig {
   /// still hold a complete snapshot and recovery needs no filesystem.
   struct BuddyConfig {
     /// Store shared by all ranks (owned by the caller, e.g.
-    /// ResilientRunner); nullptr disables mirroring.
+    /// ResilientRunner); nullptr disables mirroring and the buddy rung of
+    /// restoreLatest().
     lb::BuddyStore* store = nullptr;
     /// Steps between mirrors; 0 follows checkpointEvery.
     int mirrorEvery = 0;
@@ -175,10 +176,15 @@ class SimulationDriver {
   /// Run the in situ pipeline immediately (collective).
   void runPipelineNow();
 
-  /// Restore solver state from the newest valid checkpoint in
-  /// config.checkpointDir, skipping corrupt or truncated candidates
-  /// (collective). Returns the typed outcome; on success the solver's step
-  /// counter is rebased to the checkpointed step.
+  /// The restore ladder shared by sentinel rollback and ResilientRunner
+  /// (collective). Tries the newest complete buddy snapshot when
+  /// config.buddy.store is set, then the newest valid checkpoint in
+  /// config.checkpointDir (skipping corrupt or truncated ones) when
+  /// checkpointEvery > 0 and checkpointDir is set. Returns the first
+  /// success, with `source` naming the rung, and on success rebases the
+  /// solver's step counter to the snapshot's step. When no rung restores it
+  /// returns the typed miss of the last rung tried (kOpenFailed when none
+  /// is configured) and leaves the solver untouched.
   lb::RestoreResult restoreLatest();
 
   /// True while broker mode is active and the broker is healthy. After a

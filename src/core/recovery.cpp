@@ -19,7 +19,7 @@ namespace hemo::core {
 
 namespace {
 
-/// User tag for the agreement round (9001/9002 checkpoint, 9851 buddy).
+/// User tag for the agreement round (9851/9852 are the buddy mirror's).
 constexpr int kTagAgree = 9861;
 
 void noteFlight(const std::string& what) {
@@ -193,28 +193,13 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
         if (resuming) {
           RecoveryEvent& ev = localEvents.back();
           WallTimer restoreTimer;
-          bool restored = false;
-          if (recovery_.buddy) {
-            const auto r =
-                lb::restoreFromBuddy(buddy_, driver.solver(), comm);
-            if (r.ok()) {
-              restored = true;
-              ev.usedBuddy = true;
-              ev.restoredStep = r.step;
-            } else {
-              noteFlight("recover: buddy restore unavailable (" + r.detail +
-                         "); falling back");
-            }
-          }
-          if (!restored && cfg.checkpointEvery > 0 &&
-              !cfg.checkpointDir.empty()) {
-            const auto r = driver.restoreLatest();
-            if (r.ok()) {
-              restored = true;
-              ev.restoredStep = r.step;
-            }
-          }
-          if (!restored) {
+          // The driver's ladder: buddy memory, then disk. The cold restart
+          // is this runner's own last rung.
+          const auto r = driver.restoreLatest();
+          if (r.ok()) {
+            ev.usedBuddy = r.source == lb::RestoreSource::kBuddy;
+            ev.restoredStep = r.step;
+          } else {
             if (!recovery_.allowColdRestart) {
               throw std::runtime_error(
                   "recovery: no restorable snapshot (buddy or disk) and "

@@ -20,9 +20,10 @@
 ///            fresh context; stale in-flight traffic is purged by epoch.
 ///   RESTORE  a fresh partition of the *survivors* is built through the
 ///            pluggable partitioner, the driver (solver/ghosts/octree)
-///            rebuilt on it, and state restored — newest complete buddy
-///            snapshot (lb/buddy.hpp) first, disk checkpoint fallback,
-///            optional cold restart from step 0 when neither exists.
+///            rebuilt on it, and state restored through the driver's
+///            ladder (SimulationDriver::restoreLatest: newest complete
+///            buddy snapshot, then disk checkpoint), with an optional cold
+///            restart from step 0 when neither rung restores.
 ///   RESUME   the driver runs the remaining steps. Rank 0 re-attaches the
 ///            serving broker so client subscriptions survive the event;
 ///            if rank 0 itself died the run degrades to solver-only.

@@ -41,6 +41,7 @@
 
 #include "comm/communicator.hpp"
 #include "io/serial.hpp"
+#include "lb/redistribute.hpp"
 #include "lb/solver.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/faultinject.hpp"
@@ -125,12 +126,17 @@ inline const char* ckptStatusName(CkptStatus s) {
   return "unknown";
 }
 
-/// Outcome of readCheckpoint()/restoreLatest(). On failure the solver is
-/// left untouched (validation happens before any state is applied).
+/// Where a successful restore came from.
+enum class RestoreSource : std::uint8_t { kNone = 0, kBuddy, kDisk };
+
+/// Outcome of readCheckpoint()/restoreFromBuddy()/restoreLatest(). On
+/// failure the solver is left untouched (validation happens before any
+/// state is applied).
 struct RestoreResult {
   CkptStatus status = CkptStatus::kOk;
   std::uint64_t step = 0;     ///< step the checkpoint was taken at (kOk)
   std::string detail;         ///< human-readable failure note (rank 0)
+  RestoreSource source = RestoreSource::kNone;  ///< set on success
   bool ok() const { return status == CkptStatus::kOk; }
 };
 
@@ -252,19 +258,14 @@ inline void countCrcFail() {
 
 // --- parsing (rank 0; unit-testable without a communicator) ----------------
 
-struct CheckpointBlob {
-  std::vector<std::uint64_t> ids;
-  std::vector<std::vector<double>> f;  ///< [q][site]
-};
-
 struct ParsedCheckpoint {
   std::uint64_t step = 0;
   std::uint64_t totalSites = 0;
-  std::vector<CheckpointBlob> blobs;
+  std::vector<SiteBlock> blobs;
 };
 
 inline CkptStatus parseCheckpointBlob(const std::vector<std::byte>& blob,
-                                      int expectQ, CheckpointBlob& out,
+                                      int expectQ, SiteBlock& out,
                                       std::string* detailOut) {
   try {
     io::Reader br(blob);
@@ -313,7 +314,7 @@ inline CkptStatus parseCheckpoint(const std::string& path, int expectQ,
       out.totalSites = 0;
       for (std::int32_t wr = 0; wr < writers; ++wr) {
         const auto blob = r.getVec<std::byte>();
-        CheckpointBlob& parsed = out.blobs.emplace_back();
+        SiteBlock& parsed = out.blobs.emplace_back();
         const auto st = parseCheckpointBlob(blob, expectQ, parsed, detailOut);
         if (st != CkptStatus::kOk) return st;
         out.totalSites += parsed.ids.size();
@@ -374,7 +375,7 @@ inline CkptStatus parseCheckpoint(const std::string& path, int expectQ,
           ckptdetail::countCrcFail();
           return fail(CkptStatus::kCrcMismatch, "blob CRC mismatch in " + sp);
         }
-        CheckpointBlob& parsed = out.blobs.emplace_back();
+        SiteBlock& parsed = out.blobs.emplace_back();
         const auto st = parseCheckpointBlob(blob, expectQ, parsed, detailOut);
         if (st != CkptStatus::kOk) return st;
         parsedSites += parsed.ids.size();
@@ -446,120 +447,41 @@ std::uint64_t writeCheckpoint(const std::string& path,
 }
 
 /// Collective: restore distributions from a checkpoint written by any rank
-/// layout (sites are routed to their current owners, so the partition may
-/// differ from the writing run — repartition-restart). Rank 0 parses and
-/// validates; the outcome is broadcast before any state is applied, so on
-/// failure every rank returns the same typed error and the solver is
-/// untouched. On success the solver's step counter is rebased.
+/// layout (sites are routed to their current owners by redistribute(), so
+/// the partition may differ from the writing run — repartition-restart).
+/// Rank 0 parses and validates the files and feeds every blob to the
+/// routing; on failure every rank returns the same typed error and the
+/// solver is untouched. On success the solver's step counter is rebased.
 template <typename Lattice>
 RestoreResult readCheckpoint(const std::string& path, Solver<Lattice>& solver,
                              comm::Communicator& comm) {
   comm::Communicator::TrafficScope scope(comm, comm::Traffic::kIo);
   constexpr int kQ = Lattice::kQ;
-  const auto& domain = solver.domain();
-  const std::uint64_t expectSites =
-      comm.allreduceSum<std::uint64_t>(domain.numOwned());
-  const std::uint64_t numGlobalSites = domain.lattice().numFluidSites();
 
-  // Rank 0 parses, validates, and buckets each site's id + Q values by
-  // its current owner. Ids stay uint64 end to end (the v1 bug routed them
-  // through double, corrupting ids above 2^53).
-  std::vector<std::vector<std::uint64_t>> idsToSend(
-      static_cast<std::size_t>(comm.size()));
-  std::vector<std::vector<double>> valsToSend(
-      static_cast<std::size_t>(comm.size()));
+  ParsedCheckpoint parsed;
   std::uint8_t status8 = static_cast<std::uint8_t>(CkptStatus::kOk);
-  std::uint64_t step = 0;
   std::string detailMsg;
   if (comm.rank() == 0) {
-    ParsedCheckpoint parsed;
-    CkptStatus st = parseCheckpoint(path, kQ, parsed, &detailMsg);
-    if (st == CkptStatus::kOk && parsed.totalSites != expectSites) {
-      st = CkptStatus::kGeometryMismatch;
-      detailMsg = "checkpoint holds " + std::to_string(parsed.totalSites) +
-                  " sites, lattice owns " + std::to_string(expectSites);
-    }
-    if (st == CkptStatus::kOk) {
-      for (const auto& blob : parsed.blobs) {
-        for (const std::uint64_t id : blob.ids) {
-          if (id >= numGlobalSites) {
-            st = CkptStatus::kGeometryMismatch;
-            detailMsg = "site id " + std::to_string(id) + " out of range";
-            break;
-          }
-        }
-        if (st != CkptStatus::kOk) break;
-      }
-    }
-    if (st == CkptStatus::kOk) {
-      step = parsed.step;
-      for (auto& blob : parsed.blobs) {
-        for (std::size_t s = 0; s < blob.ids.size(); ++s) {
-          const auto owner =
-              static_cast<std::size_t>(domain.ownerOf(blob.ids[s]));
-          idsToSend[owner].push_back(blob.ids[s]);
-          auto& vals = valsToSend[owner];
-          for (int i = 0; i < kQ; ++i) {
-            vals.push_back(blob.f[static_cast<std::size_t>(i)][s]);
-          }
-        }
-      }
-    }
-    status8 = static_cast<std::uint8_t>(st);
+    status8 = static_cast<std::uint8_t>(
+        parseCheckpoint(path, kQ, parsed, &detailMsg));
   }
   comm.bcast(status8, 0);
-  comm.bcast(step, 0);
+  comm.bcast(parsed.step, 0);
   const auto status = static_cast<CkptStatus>(status8);
   if (status != CkptStatus::kOk) {
-    return RestoreResult{status, step, detailMsg};
+    return RestoreResult{status, parsed.step, detailMsg};
   }
 
-  // Scatter: rank 0 sends each rank its slice (ids and values separately).
-  std::vector<std::uint64_t> ids;
-  std::vector<double> vals;
-  if (comm.rank() == 0) {
-    for (int r = 1; r < comm.size(); ++r) {
-      comm.sendVec(r, 9001, idsToSend[static_cast<std::size_t>(r)]);
-      comm.sendVec(r, 9002, valsToSend[static_cast<std::size_t>(r)]);
-    }
-    ids = std::move(idsToSend[0]);
-    vals = std::move(valsToSend[0]);
-  } else {
-    ids = comm.recvVec<std::uint64_t>(0, 9001);
-    vals = comm.recvVec<double>(0, 9002);
+  const auto routed = redistribute(solver.domain(), comm, parsed.blobs, kQ);
+  if (!routed.ok()) {
+    return RestoreResult{CkptStatus::kGeometryMismatch, parsed.step,
+                         std::string("checkpoint sites do not fit the "
+                                     "partition: ") +
+                             redistributeStatusName(routed.status)};
   }
-
-  // Validate-then-apply: a failed restore leaves the solver untouched.
-  bool localOk = ids.size() == domain.numOwned() &&
-                 vals.size() == ids.size() * static_cast<std::size_t>(kQ);
-  std::vector<std::vector<double>> f(
-      static_cast<std::size_t>(kQ),
-      std::vector<double>(domain.numOwned(), 0.0));
-  std::vector<char> seen(domain.numOwned(), 0);
-  if (localOk) {
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      const auto local = domain.localOf(ids[s]);
-      if (local < 0 || seen[static_cast<std::size_t>(local)] != 0) {
-        localOk = false;
-        break;
-      }
-      seen[static_cast<std::size_t>(local)] = 1;
-      for (int i = 0; i < kQ; ++i) {
-        f[static_cast<std::size_t>(i)][static_cast<std::size_t>(local)] =
-            vals[s * static_cast<std::size_t>(kQ) +
-                 static_cast<std::size_t>(i)];
-      }
-    }
-  }
-  if (comm.allreduceMin(localOk ? 1 : 0) != 1) {
-    return RestoreResult{CkptStatus::kGeometryMismatch, step,
-                         "restored sites do not cover the partition"};
-  }
-  for (int i = 0; i < kQ; ++i) {
-    solver.setDistribution(i, f[static_cast<std::size_t>(i)]);
-  }
-  solver.setStepsDone(step);
-  return RestoreResult{CkptStatus::kOk, step, {}};
+  solver.setDistributions(routed.columns);
+  solver.setStepsDone(parsed.step);
+  return RestoreResult{CkptStatus::kOk, parsed.step, {}, RestoreSource::kDisk};
 }
 
 // --- directory policy: checkpointEvery / restoreLatest / prune --------------

@@ -6,120 +6,64 @@
 /// partitioning mid-term"; this module is the data-plane half of that loop.
 /// Given a solver running on one DomainMap and a freshly built DomainMap for
 /// the rebalanced partition, `migrateDistributions` repacks every owned
-/// site's kQ populations onto the new ownership with a single bulk
-/// alltoall exchange (traffic class `kRepart`). Distributions are gathered
-/// and scattered in *external* (DomainMap) order through the solver's
-/// layout-agnostic accessors, so the transfer is byte-identical under the
-/// SoA and AoS layouts. The control-plane half (when to migrate, rebuilding
-/// solver/ghosts/octree) lives in core::SimulationDriver.
+/// site's kQ populations onto the new ownership through redistribute()
+/// (traffic class `kRepart`). Distributions are gathered in *external*
+/// (DomainMap) order through the solver's layout-agnostic accessors, so the
+/// transfer is byte-identical under the SoA and AoS layouts. The
+/// control-plane half (when to migrate, rebuilding solver/ghosts/octree, or
+/// keeping the old partition when the transfer fails) lives in
+/// core::SimulationDriver.
 
 #include <cstdint>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "lb/domain_map.hpp"
+#include "lb/redistribute.hpp"
 #include "lb/solver.hpp"
-#include "util/check.hpp"
 
 namespace hemo::lb {
 
 struct MigrationStats {
+  /// Identical on every rank; on failure nothing moved and `columns` is
+  /// left empty.
+  RedistributeStatus status = RedistributeStatus::kOk;
   /// Global number of sites that changed owner (summed over ranks).
   std::uint64_t sitesMoved = 0;
   /// Global payload bytes shipped between ranks (ids + populations).
   std::uint64_t bytesMoved = 0;
-  /// Sites this rank received from elsewhere.
-  std::uint64_t sitesReceivedLocal = 0;
+  bool ok() const { return status == RedistributeStatus::kOk; }
 };
 
 /// Collective. Repack `solver`'s distributions from its current domain onto
-/// `newDomain`'s ownership. On return `columns[i]` holds distribution i over
-/// the *new* domain's owned sites in external order (ready for
+/// `newDomain`'s ownership. On success `columns[i]` holds distribution i
+/// over the *new* domain's owned sites in external order (ready for
 /// Solver::setDistributions on a solver built over `newDomain`). Every rank
-/// must pass DomainMaps built from the same old/new partitions.
+/// must pass DomainMaps built from the same old/new partitions; ranks that
+/// disagree get a typed failure, not an abort.
 template <typename Lattice>
 MigrationStats migrateDistributions(const Solver<Lattice>& solver,
                                     const DomainMap& newDomain,
                                     comm::Communicator& comm,
                                     std::vector<std::vector<double>>& columns) {
   constexpr int kQ = Lattice::kQ;
-  const DomainMap& oldDomain = solver.domain();
   comm::Communicator::TrafficScope scope(comm, comm::Traffic::kRepart);
 
-  std::vector<std::vector<double>> oldColumns(kQ);
+  std::vector<SiteBlock> owned(1);
+  owned[0].ids = solver.domain().ownedIds();
+  owned[0].f.resize(kQ);
   for (int i = 0; i < kQ; ++i) {
-    solver.gatherDistribution(i, oldColumns[static_cast<std::size_t>(i)]);
+    solver.gatherDistribution(i, owned[0].f[static_cast<std::size_t>(i)]);
   }
-
-  columns.assign(kQ, std::vector<double>(newDomain.numOwned(), 0.0));
-  std::vector<std::uint8_t> filled(newDomain.numOwned(), 0);
-
-  // Split owned sites into kept (copied locally) and shipped (packed per
-  // destination as [id] + [kQ populations], site-major).
-  const int numRanks = comm.size();
-  std::vector<std::vector<std::uint64_t>> sendIds(
-      static_cast<std::size_t>(numRanks));
-  std::vector<std::vector<double>> sendVals(static_cast<std::size_t>(numRanks));
-  std::uint64_t movedLocal = 0;
-  for (std::uint32_t l = 0; l < oldDomain.numOwned(); ++l) {
-    const std::uint64_t g = oldDomain.globalOf(l);
-    const int owner = newDomain.ownerOf(g);
-    if (owner == comm.rank()) {
-      const std::int64_t nl = newDomain.localOf(g);
-      HEMO_CHECK(nl >= 0);
-      for (int i = 0; i < kQ; ++i) {
-        columns[static_cast<std::size_t>(i)][static_cast<std::size_t>(nl)] =
-            oldColumns[static_cast<std::size_t>(i)][l];
-      }
-      filled[static_cast<std::size_t>(nl)] = 1;
-    } else {
-      ++movedLocal;
-      auto& ids = sendIds[static_cast<std::size_t>(owner)];
-      auto& vals = sendVals[static_cast<std::size_t>(owner)];
-      ids.push_back(g);
-      for (int i = 0; i < kQ; ++i) {
-        vals.push_back(oldColumns[static_cast<std::size_t>(i)][l]);
-      }
-    }
-  }
-
-  std::uint64_t bytesLocal = 0;
-  for (int r = 0; r < numRanks; ++r) {
-    bytesLocal += sendIds[static_cast<std::size_t>(r)].size() *
-                  (sizeof(std::uint64_t) +
-                   static_cast<std::uint64_t>(kQ) * sizeof(double));
-  }
-
-  const auto recvIds = comm.alltoallVec(sendIds);
-  const auto recvVals = comm.alltoallVec(sendVals);
-
+  auto routed = redistribute(newDomain, comm, owned, kQ);
   MigrationStats stats;
-  for (int r = 0; r < numRanks; ++r) {
-    const auto& ids = recvIds[static_cast<std::size_t>(r)];
-    const auto& vals = recvVals[static_cast<std::size_t>(r)];
-    HEMO_CHECK(vals.size() == ids.size() * static_cast<std::size_t>(kQ));
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      const std::int64_t nl = newDomain.localOf(ids[s]);
-      HEMO_CHECK(nl >= 0);
-      HEMO_CHECK(!filled[static_cast<std::size_t>(nl)]);
-      for (int i = 0; i < kQ; ++i) {
-        columns[static_cast<std::size_t>(i)][static_cast<std::size_t>(nl)] =
-            vals[s * static_cast<std::size_t>(kQ) +
-                 static_cast<std::size_t>(i)];
-      }
-      filled[static_cast<std::size_t>(nl)] = 1;
-      ++stats.sitesReceivedLocal;
-    }
-  }
-  // Every new-owned slot must have been covered exactly once (the old
-  // partition covers all sites, so each site arrives from its unique old
-  // owner or the local copy).
-  for (std::uint32_t nl = 0; nl < newDomain.numOwned(); ++nl) {
-    HEMO_CHECK(filled[nl]);
-  }
-
-  stats.sitesMoved = comm.allreduceSum(movedLocal);
-  stats.bytesMoved = comm.allreduceSum(bytesLocal);
+  stats.status = routed.status;
+  columns = std::move(routed.columns);
+  if (!stats.ok()) return stats;
+  stats.sitesMoved = comm.allreduceSum(routed.sitesSentLocal);
+  stats.bytesMoved =
+      stats.sitesMoved * (sizeof(std::uint64_t) +
+                          static_cast<std::uint64_t>(kQ) * sizeof(double));
   return stats;
 }
 

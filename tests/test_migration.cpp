@@ -1,10 +1,12 @@
 // Live repartitioning tests: the cross-rank site migration data plane
-// (distribution repacking onto a rebuilt DomainMap), the driver's
+// (distribution repacking onto a rebuilt DomainMap, and the typed failures
+// of the redistribute() routine it shares with the restores), the driver's
 // telemetry-driven trigger policy (hysteresis, sentinel gate), and the
 // invariants the tentpole promises — a migrated run is bit-equivalent to an
-// unmigrated reference, checkpoints restore across a migration epoch, and
-// the serving plane (octree context, broker subscriptions) survives the
-// ownership handoff.
+// unmigrated reference, a refused migration leaves the run on its old
+// partition, checkpoints restore across a migration epoch, and the serving
+// plane (octree context, broker subscriptions) survives the ownership
+// handoff.
 //
 // Registered under the `resilience` ctest label and the TSan sweep
 // (tests/run_tsan.sh): migration interleaves bulk alltoall traffic with
@@ -14,6 +16,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <vector>
 
 #include "comm/runtime.hpp"
@@ -22,6 +25,7 @@
 #include "geometry/voxelizer.hpp"
 #include "lb/checkpoint.hpp"
 #include "lb/migration.hpp"
+#include "lb/redistribute.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
 #include "serve/broker.hpp"
@@ -136,6 +140,95 @@ TEST(Migration, RepacksDistributionsOntoNewOwnership) {
       }
     }
   });
+}
+
+// --- redistribute on malformed input ---------------------------------------
+
+/// Each rank passes one block, its owned sites with their current
+/// populations, after `tamper` has edited it.
+using Tamper = std::function<void(int rank, const lb::DomainMap& domain,
+                                  lb::SiteBlock& block)>;
+
+/// On 2 ranks, every rank must get the same non-ok `want`, nothing to
+/// apply, and a solver whose distributions are untouched.
+void expectRedistributeRejects(lb::RedistributeStatus want,
+                               const Tamper& tamper) {
+  const auto lat = tubeLattice();
+  const auto graph = partition::buildSiteGraph(lat);
+  partition::MultilevelKWayPartitioner kway;
+  const auto part = kway.partition(graph, 2);
+  std::vector<lb::RedistributeStatus> seen(2, lb::RedistributeStatus::kOk);
+
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    lb::LbParams params;
+    params.tau = 0.8;
+    params.bodyForce = {1e-5, 0, 0};
+    lb::SolverD3Q19 solver(domain, comm, params);
+    solver.run(2);
+
+    constexpr int kQ = lb::SolverD3Q19::kQ;
+    std::vector<lb::SiteBlock> blocks(1);
+    blocks[0].ids = domain.ownedIds();
+    blocks[0].f.resize(kQ);
+    for (int i = 0; i < kQ; ++i) {
+      solver.gatherDistribution(i, blocks[0].f[static_cast<std::size_t>(i)]);
+    }
+    const auto before = blocks[0].f;
+    // Doubled values, so that an applied result would show.
+    for (auto& column : blocks[0].f) {
+      for (double& v : column) v *= 2.0;
+    }
+    tamper(comm.rank(), domain, blocks[0]);
+    const auto result = lb::redistribute(domain, comm, blocks, kQ);
+    seen[static_cast<std::size_t>(comm.rank())] = result.status;
+    EXPECT_TRUE(result.columns.empty());
+    if (result.ok()) solver.setDistributions(result.columns);
+
+    std::vector<double> after;
+    for (int i = 0; i < kQ; ++i) {
+      solver.gatherDistribution(i, after);
+      ASSERT_EQ(after, before[static_cast<std::size_t>(i)]);
+    }
+    EXPECT_EQ(solver.stepsDone(), 2u);
+  });
+  EXPECT_EQ(seen[0], want) << lb::redistributeStatusName(seen[0]);
+  EXPECT_EQ(seen[1], want) << lb::redistributeStatusName(seen[1]);
+}
+
+TEST(Redistribute, SiteSentByTwoRanksFailsOnEveryRank) {
+  // Rank 1 also sends rank 0's first site: rank 0 receives it twice.
+  expectRedistributeRejects(
+      lb::RedistributeStatus::kDuplicate,
+      [](int rank, const lb::DomainMap& domain, lb::SiteBlock& block) {
+        if (rank != 1) return;
+        std::uint64_t stolen = 0;
+        while (domain.ownerOf(stolen) != 0) ++stolen;
+        block.ids.push_back(stolen);
+        for (auto& column : block.f) column.push_back(0.5);
+      });
+}
+
+TEST(Redistribute, IdBeyondTheLatticeFailsOnEveryRank) {
+  expectRedistributeRejects(
+      lb::RedistributeStatus::kIdOutOfRange,
+      [](int rank, const lb::DomainMap& domain, lb::SiteBlock& block) {
+        if (rank != 0) return;
+        block.ids.push_back(domain.lattice().numFluidSites());
+        for (auto& column : block.f) column.push_back(0.5);
+      });
+}
+
+TEST(Redistribute, SiteNobodySendsFailsOnEveryRank) {
+  // Rank 1 drops its last owned site, so nobody covers it.
+  expectRedistributeRejects(
+      lb::RedistributeStatus::kUncovered,
+      [](int rank, const lb::DomainMap&, lb::SiteBlock& block) {
+        if (rank != 1) return;
+        block.ids.pop_back();
+        for (auto& column : block.f) column.pop_back();
+      });
 }
 
 // --- tentpole equivalence ---------------------------------------------------
@@ -276,6 +369,68 @@ TEST(Migration, CheckpointRestoresAcrossMigrationEpoch) {
     ASSERT_NEAR((stateB.u[g] - stateA.u[g]).norm(), 0.0, 1e-13);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Migration, DivergedPlanKeepsOldPartitionAndRunContinues) {
+  // Rank 0 asks for a rebalance under a lopsided cost field, rank 1 under a
+  // uniform one, so their plans differ. Every rank must refuse the
+  // migration together (a rank skipping the transfer alone would deadlock
+  // the others) and carry on, on the old partition.
+  const auto lat = tubeLattice();
+  const auto graph = partition::buildSiteGraph(lat);
+  partition::MultilevelKWayPartitioner kway;
+  const auto part = kway.partition(graph, 2);
+  const auto cfg = plainDriverConfig();
+
+  GlobalState reference(lat.numFluidSites());
+  {
+    comm::Runtime rt(2);
+    rt.run([&](comm::Communicator& comm) {
+      lb::DomainMap domain(lat, part, comm.rank());
+      core::SimulationDriver driver(domain, comm, cfg);
+      driver.run(20);
+      collectState(domain, driver.solver(), reference);
+    });
+  }
+
+  GlobalState continued(lat.numFluidSites());
+  std::vector<int> migrated(2, -1);
+  {
+    comm::Runtime rt(2);
+    rt.run([&](comm::Communicator& comm) {
+      lb::DomainMap domain(lat, part, comm.rank());
+      core::SimulationDriver driver(domain, comm, cfg);
+      driver.run(10);
+      const auto cost =
+          comm.rank() == 0
+              ? skewedCosts(part)
+              : std::vector<double>(lat.numFluidSites(), 1.0);
+      const auto outcome = driver.migrateNow(cost);
+      migrated[static_cast<std::size_t>(comm.rank())] =
+          outcome.migrated ? 1 : 0;
+      EXPECT_EQ(driver.migrationEpoch(), 0u);
+      EXPECT_EQ(&driver.domain(), &domain);
+      if (auto* t = telemetry::threadTelemetry()) {
+        EXPECT_EQ(t->metrics().counter("repart.failed").value(), 1u);
+        EXPECT_EQ(t->metrics().counter("repart.migrations").value(), 0u);
+      }
+      driver.run(10);
+      EXPECT_EQ(driver.solver().stepsDone(), 20u);
+      collectState(domain, driver.solver(), continued);
+    });
+  }
+  EXPECT_EQ(migrated, (std::vector<int>{0, 0}));
+  for (int i = 0; i < lb::SolverD3Q19::kQ; ++i) {
+    for (std::size_t g = 0; g < reference.f[0].size(); ++g) {
+      ASSERT_NEAR(continued.f[static_cast<std::size_t>(i)][g],
+                  reference.f[static_cast<std::size_t>(i)][g], 1e-13)
+          << "direction " << i << " site " << g;
+    }
+  }
+  for (std::size_t g = 0; g < reference.rho.size(); ++g) {
+    ASSERT_NEAR(continued.rho[g], reference.rho[g], 1e-13);
+    ASSERT_NEAR((continued.u[g] - reference.u[g]).norm(), 0.0, 1e-13);
+  }
 }
 
 // --- trigger policy ---------------------------------------------------------

@@ -3,7 +3,8 @@
 // communicator shrink, rank-count-independent checkpoint restore, diskless
 // buddy checkpoints, end-to-end kill/hang-mid-step recovery through
 // ResilientRunner (disk, buddy and cold-restart ladders, serving-plane
-// survival), and the bounded teardown join.
+// survival), a kill-point sweep over the fault sites that kill ranks, and
+// the bounded teardown join.
 //
 // Registered under the `resilience` ctest label.
 
@@ -615,6 +616,143 @@ TEST(Recovery, RootDeathDegradesToSolverOnlyAndCompletes) {
   EXPECT_EQ(result.finalStep, 16u);
   expectMatchesReference(u, reference);
   broker.closeAll();
+}
+
+// --- kill-point sweep --------------------------------------------------------
+//
+// Every fault site that kills a rank (kDriverStep, kCommSend) at three kill
+// points (before the first snapshot, between snapshots, on a snapshot
+// step), each with buddy and with disk snapshots every 5 steps, on 4 ranks
+// under ResilientRunner. One more disk case corrupts the newest checkpoint
+// at kCheckpointCommit, so the ladder must skip it for the older one. Left
+// out: kChannelSend and kBrokerPoll, which act on serving frames and on the
+// broker and never kill a rank.
+
+enum class Rung { kBuddy, kDisk, kCold };
+
+const char* rungName(Rung r) {
+  switch (r) {
+    case Rung::kBuddy: return "buddy";
+    case Rung::kDisk: return "disk";
+    case Rung::kCold: return "cold";
+  }
+  return "?";
+}
+
+struct KillPoint {
+  util::FaultSite site;
+  int step;        ///< the kill lands in this step
+  bool buddy;      ///< buddy snapshots (else disk checkpoints)
+  bool corruptNewest;
+  Rung rung;       ///< expected restore rung
+  std::uint64_t restoredStep;
+};
+
+TEST(Recovery, KillPointSweepRestoresFromTheExpectedRung) {
+  const auto lat = tubeLattice();
+  partition::MultilevelKWayPartitioner kway;
+  constexpr int kSteps = 16;
+  constexpr int kVictim = 2;
+  const auto reference = serialReference(lat, kSteps);
+  const std::string dir = "/tmp/hemo_test_kill_sweep";
+
+  const auto configFor = [&](bool buddy) {
+    auto cfg = plainDriverConfig();
+    cfg.checkpointEvery = 5;
+    if (!buddy) cfg.checkpointDir = dir;
+    return cfg;
+  };
+  const auto recoveryFor = [](bool buddy) {
+    core::RecoveryConfig rcfg;
+    rcfg.liveness = {true, 2000, 5};
+    rcfg.buddy = buddy;
+    return rcfg;
+  };
+  // kCommSend kills are placed at the victim's last send of a step: count
+  // its sends over an undisturbed run of that many steps.
+  const auto sendsThrough = [&](int step, bool buddy) {
+    std::filesystem::remove_all(dir);
+    util::FaultScope scope(1);
+    util::FaultRule count;
+    count.site = util::FaultSite::kCommSend;
+    count.rank = kVictim;
+    scope.rule(count);  // action kNone: counted, never acted on
+    core::ResilientRunner runner(lat, kway, configFor(buddy),
+                                 recoveryFor(buddy));
+    EXPECT_TRUE(runner.run(4, step).completed);
+    return util::FaultInjector::instance().fired(util::FaultSite::kCommSend);
+  };
+
+  using util::FaultSite;
+  const std::vector<KillPoint> points = {
+      {FaultSite::kDriverStep, 3, true, false, Rung::kCold, 0},
+      {FaultSite::kDriverStep, 3, false, false, Rung::kCold, 0},
+      {FaultSite::kDriverStep, 8, true, false, Rung::kBuddy, 5},
+      {FaultSite::kDriverStep, 8, false, false, Rung::kDisk, 5},
+      {FaultSite::kDriverStep, 10, true, false, Rung::kBuddy, 5},
+      {FaultSite::kDriverStep, 10, false, false, Rung::kDisk, 5},
+      {FaultSite::kCommSend, 3, true, false, Rung::kCold, 0},
+      {FaultSite::kCommSend, 3, false, false, Rung::kCold, 0},
+      {FaultSite::kCommSend, 8, true, false, Rung::kBuddy, 5},
+      {FaultSite::kCommSend, 8, false, false, Rung::kDisk, 5},
+      {FaultSite::kCommSend, 10, true, false, Rung::kCold, 0},
+      {FaultSite::kCommSend, 10, false, false, Rung::kDisk, 10},
+      {FaultSite::kDriverStep, 13, false, true, Rung::kDisk, 5},
+  };
+
+  WallTimer sweep;
+  for (const auto& p : points) {
+    SCOPED_TRACE(std::string(p.site == FaultSite::kDriverStep ? "kDriverStep"
+                                                              : "kCommSend") +
+                 " kill in step " + std::to_string(p.step) + " with " +
+                 (p.buddy ? "buddy" : "disk") + " snapshots" +
+                 (p.corruptNewest ? ", newest checkpoint corrupt" : ""));
+    util::FaultRule kill;
+    kill.site = p.site;
+    kill.action = util::FaultAction::kKill;
+    kill.rank = kVictim;
+    kill.maxFires = 1;
+    // kDriverStep is hit once at the start of each step.
+    kill.afterHits = p.site == FaultSite::kDriverStep
+                         ? static_cast<std::uint64_t>(p.step - 1)
+                         : sendsThrough(p.step, p.buddy) - 1;
+
+    std::filesystem::remove_all(dir);
+    util::FaultScope scope(59);
+    scope.rule(kill);
+    if (p.corruptNewest) {
+      // Rank 0 commits a stripe then a manifest per checkpoint; mangle the
+      // stripe of the step-10 one.
+      util::FaultRule corrupt;
+      corrupt.site = FaultSite::kCheckpointCommit;
+      corrupt.action = util::FaultAction::kCorrupt;
+      corrupt.rank = 0;
+      corrupt.afterHits = 2;
+      corrupt.maxFires = 1;
+      scope.rule(corrupt);
+    }
+    std::vector<Vec3d> u(lat.numFluidSites());
+    core::ResilientRunner runner(lat, kway, configFor(p.buddy),
+                                 recoveryFor(p.buddy));
+    const auto result = runner.run(
+        4, kSteps,
+        [&](const lb::DomainMap& domain, core::SimulationDriver& driver,
+            comm::Communicator&) { collectU(domain, driver.solver(), u); });
+
+    ASSERT_TRUE(result.completed) << result.error;
+    EXPECT_EQ(result.finalStep, static_cast<std::uint64_t>(kSteps));
+    ASSERT_EQ(result.events.size(), 1u);
+    const auto& ev = result.events[0];
+    EXPECT_EQ(ev.deadWorldRanks, (std::vector<int>{kVictim}));
+    const Rung rung = ev.coldRestart ? Rung::kCold
+                      : ev.usedBuddy ? Rung::kBuddy
+                                     : Rung::kDisk;
+    EXPECT_STREQ(rungName(rung), rungName(p.rung));
+    EXPECT_EQ(ev.restoredStep, p.restoredStep);
+    expectMatchesReference(u, reference);
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_LT(sweep.seconds(), 30.0);
 }
 
 // --- bounded teardown --------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
 #include "io/serial.hpp"
+#include "lb/buddy.hpp"
 #include "lb/checkpoint.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
@@ -848,12 +849,16 @@ TEST(Sentinel, OffAndOnAreBitIdentical) {
   }
 }
 
-TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
+/// Divergence under a poisoned steered tau, rolled back through the
+/// driver's restore ladder from a disk checkpoint or, with no checkpoint
+/// directory at all, from the buddy snapshot held in memory.
+void expectDivergenceRollsBackAndQuarantines(bool buddyOnly) {
   const auto lat = tubeLattice();
   const auto graph = partition::buildSiteGraph(lat);
   partition::MultilevelKWayPartitioner kway;
   const auto part = kway.partition(graph, 2);
-  const std::string dir = "/tmp/hemo_test_sentinel_rollback";
+  const std::string dir = std::string("/tmp/hemo_test_sentinel_rollback") +
+                          (buddyOnly ? "_buddy" : "");
   std::filesystem::remove_all(dir);
 
   auto cfg = plainDriverConfig();
@@ -862,6 +867,12 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
   cfg.checkpointEvery = 10;
   cfg.checkpointDir = dir;
   cfg.checkpointKeep = 8;
+  lb::BuddyStore store;
+  if (buddyOnly) {
+    cfg.checkpointDir.clear();
+    cfg.buddy.store = &store;
+    cfg.buddy.mirrorEvery = 10;
+  }
   cfg.sentinel.checkEvery = 5;
   cfg.sentinel.maxSpeed = 0.3;
   cfg.sentinel.maxRollbacks = 3;
@@ -874,7 +885,7 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
   std::optional<steer::Reject> nack;
   std::thread user([clientEnd = clientEnd, &badId, &nack]() mutable {
     steer::SteeringClient client(clientEnd);
-    // Wait for the first status: by then the step-10 checkpoint exists.
+    // Wait for the first status: by then the step-10 snapshot exists.
     const auto status = client.awaitStatus();
     ASSERT_TRUE(status.has_value());
     EXPECT_EQ(status->consistencyStep, status->step);
@@ -905,6 +916,9 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
       ASSERT_TRUE(std::isfinite(driver.solver().macro().u[l].norm()));
     }
   });
+  // A run that stopped without a rollback sends no NACK; closing the
+  // server end turns the user's wait into a failed assertion, not a hang.
+  serverEnd.close();
   user.join();
 
   ASSERT_TRUE(nack.has_value());
@@ -913,7 +927,18 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
   EXPECT_EQ(nack->commandId, badId);
   EXPECT_EQ(static_cast<int>(nack->reason),
             static_cast<int>(steer::RejectReason::kDivergence));
+  if (buddyOnly) {
+    EXPECT_FALSE(std::filesystem::exists(dir));
+  }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
+  expectDivergenceRollsBackAndQuarantines(/*buddyOnly=*/false);
+}
+
+TEST(Sentinel, DivergenceRollsBackFromBuddyMemoryWithoutCheckpointDir) {
+  expectDivergenceRollsBackAndQuarantines(/*buddyOnly=*/true);
 }
 
 TEST(Sentinel, ChecksEveryCheckpointStepTheCadenceSkips) {
