@@ -54,7 +54,7 @@ struct RedistributeResult {
   /// Identical on every rank.
   RedistributeStatus status = RedistributeStatus::kOk;
   /// On success, columns[q][l] is population q of `domain.globalOf(l)`
-  /// (external order, ready for Solver::setDistribution); empty otherwise.
+  /// (external order, ready for Solver::setDistributions); empty otherwise.
   std::vector<std::vector<double>> columns;
   /// Sites this rank sent to another rank (kept sites are not counted).
   std::uint64_t sitesSentLocal = 0;
