@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -293,6 +294,92 @@ TEST(ClosedLoop, PauseFreezesStepsUntilResume) {
     EXPECT_TRUE(driver.terminated());
   });
   user.join();
+}
+
+TEST(ClosedLoop, SteeringChannelFrameSequenceIsPinned) {
+  // The exact frames a steering client sees over a 60-step run with
+  // visEvery 5 and statusEvery 10: cadence images and status/telemetry
+  // after each due step (none at step 0), an ack or a typed reject for
+  // every command, and a requested frame answered once. Rank 0 sends the
+  // commands between run() chunks, so each is polled at a fixed step.
+  const auto lat = aneurysmLattice(0.35);
+  PreprocessConfig cfg;
+  const auto pre = preprocess(lat, 2, cfg);
+  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  steer::SteeringClient client(clientEnd);
+
+  comm::Runtime rt(2);
+  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, pre.partition, comm.rank());
+    DriverConfig dcfg;
+    dcfg.lb.computeStress = true;
+    dcfg.lb.bodyForce = {1e-5, 0, 0};
+    dcfg.render.width = 16;
+    dcfg.render.height = 16;
+    dcfg.visEvery = 5;
+    dcfg.statusEvery = 10;
+    SimulationDriver driver(
+        domain, comm, dcfg,
+        comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    const auto sendOnRoot = [&](steer::MsgType type, double value) {
+      if (comm.rank() != 0) return;
+      steer::Command c;
+      c.type = type;
+      c.value = value;
+      client.send(c);
+    };
+    ASSERT_EQ(driver.run(3), 3);
+    sendOnRoot(steer::MsgType::kSetTau, 0.85);  // id 1: applied at step 3
+    sendOnRoot(steer::MsgType::kSetTau, 0.1);   // id 2: the guard rejects it
+    ASSERT_EQ(driver.run(10), 10);
+    sendOnRoot(steer::MsgType::kRequestStatus, 0.0);  // id 3 at step 13
+    ASSERT_EQ(driver.run(9), 9);
+    sendOnRoot(steer::MsgType::kRequestFrame, 0.0);  // id 4 at step 22
+    ASSERT_EQ(driver.run(38), 38);
+    EXPECT_DOUBLE_EQ(driver.solver().params().tau, 0.85);
+  });
+
+  std::vector<std::string> seen;
+  while (auto frame = clientEnd.tryRecv()) {
+    switch (steer::frameType(*frame)) {
+      case steer::MsgType::kImageFrame:
+        seen.push_back("image@" +
+                       std::to_string(steer::decodeImage(*frame).step));
+        break;
+      case steer::MsgType::kStatus:
+        seen.push_back("status@" +
+                       std::to_string(steer::decodeStatus(*frame).step));
+        break;
+      case steer::MsgType::kTelemetry:
+        seen.push_back("telemetry@" +
+                       std::to_string(steer::decodeTelemetry(*frame).step));
+        break;
+      case steer::MsgType::kAck: {
+        std::uint32_t id = 0;  // u32 command id behind the type byte
+        std::memcpy(&id, frame->data() + 1, sizeof(id));
+        seen.push_back("ack#" + std::to_string(id));
+        break;
+      }
+      case steer::MsgType::kReject:
+        seen.push_back("reject#" + std::to_string(
+                                       steer::decodeReject(*frame).commandId));
+        break;
+      default:
+        seen.push_back("type" + std::to_string(static_cast<int>(
+                                    steer::frameType(*frame))));
+        break;
+    }
+  }
+  const std::vector<std::string> expected = {
+      "ack#1",        "reject#2",     "image@5",      "image@10",
+      "status@10",    "telemetry@10", "status@13",    "ack#3",
+      "image@15",     "image@20",     "status@20",    "telemetry@20",
+      "image@22",     "ack#4",        "image@25",     "image@30",
+      "status@30",    "telemetry@30", "image@35",     "image@40",
+      "status@40",    "telemetry@40", "image@45",     "image@50",
+      "status@50",    "telemetry@50", "image@55",     "image@60",
+      "status@60",    "telemetry@60"};
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(Driver, BatchRunWithoutSteeringWorks) {
