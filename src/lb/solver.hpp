@@ -694,6 +694,10 @@ class Solver {
     bool trt = false;
     Vec3d F{0, 0, 0};
     bool forced = false;
+    /// TRT with a body force: per-direction addend that gives the odd part
+    /// of the Guo source its own prefactor (see trtOddSource()).
+    bool trtForced = false;
+    double trtOddSource[kQ] = {};
     bool stress = false;
     double stressPrefactor = 0.0;
     double* rhoOut = nullptr;
@@ -710,12 +714,33 @@ class Solver {
     ctx.omegaMinus = 1.0 / tauMinus;
     ctx.F = params_.bodyForce;
     ctx.forced = ctx.F.norm2() > 0.0;
+    ctx.trtForced = ctx.trt && ctx.forced;
+    if (ctx.trtForced) trtOddSource(ctx);
     ctx.stress = params_.computeStress;
     ctx.stressPrefactor = -(1.0 - 0.5 * ctx.omega);
     ctx.rhoOut = macro_.rho.data();
     ctx.uOut = macro_.u.data();
     ctx.stressOut = ctx.stress ? macro_.stress.data() : nullptr;
     return ctx;
+  }
+
+  /// The even/odd split of the Guo source under TRT. The source
+  /// S_i = w_i [3 (c_i - u) + 9 (c_i.u) c_i].F has an odd part 3 w_i c_i.F,
+  /// which carries the momentum and so relaxes with omega-minus, and an
+  /// even part (the rest). Each must be scaled by its own rate's
+  /// (1 - omega/2). Every kernel applies the BGK source scaled by
+  /// (1 - omega+/2), then adds (omega+ - omega-)/2 times the odd part:
+  /// a site-invariant per-direction constant, computed here once per sweep.
+  /// BGK (omega- = omega+) never adds it, so its arithmetic is unchanged.
+  static void trtOddSource(CollisionCtx& ctx) {
+    const auto& set = Lattice::kSet;
+    const double scale = 0.5 * (ctx.omega - ctx.omegaMinus) * 3.0;
+    for (int i = 0; i < kQ; ++i) {
+      const Vec3d c =
+          set.c[static_cast<std::size_t>(i)].template cast<double>();
+      ctx.trtOddSource[i] =
+          scale * set.w[static_cast<std::size_t>(i)] * c.dot(ctx.F);
+    }
   }
 
   /// Per-direction constants as flat doubles: keeps the hot loops free of
@@ -834,6 +859,9 @@ class Solver {
                              (3.0 * (cy - uy) + cy * nineCu) * ctx.F.y +
                              (3.0 * (cz - uz) + cz * nineCu) * ctx.F.z;
         fl[i] += pref * d.w[static_cast<std::size_t>(i)] * termF;
+      }
+      if (ctx.trtForced) {
+        for (int i = 0; i < kQ; ++i) fl[i] += ctx.trtOddSource[i];
       }
     }
   }
@@ -1211,6 +1239,9 @@ class Solver {
             fPref * broadcast(d.w[static_cast<std::size_t>(i)]), termF,
             fv[i]);
       }
+      if (ctx.trtForced) {
+        for (int i = 0; i < kQ; ++i) fv[i] += broadcast(ctx.trtOddSource[i]);
+      }
     }
 
     if constexpr (Stress) {
@@ -1345,6 +1376,9 @@ class Solver {
         const double cu = c.dot(u);
         const Vec3d term = (c - u) * 3.0 + c * (9.0 * cu);
         fl[i] += pref * set.w[static_cast<std::size_t>(i)] * term.dot(ctx.F);
+      }
+      if (ctx.trtForced) {
+        for (int i = 0; i < kQ; ++i) fl[i] += ctx.trtOddSource[i];
       }
     }
   }

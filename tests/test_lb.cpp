@@ -374,6 +374,82 @@ TEST(Trt, AgreesWithBgkInTheBulk) {
   EXPECT_LT(std::sqrt(num / den), 0.25);
 }
 
+/// Axis-aligned box (negative inside): a square duct when capped by iolets.
+class BoxShape final : public geometry::Shape {
+ public:
+  BoxShape(const Vec3d& lo, const Vec3d& hi) : lo_(lo), hi_(hi) {}
+  double sdf(const Vec3d& p) const override {
+    double d = -1e300;
+    for (int a = 0; a < 3; ++a) {
+      d = std::max(d, std::max(lo_[a] - p[a], p[a] - hi_[a]));
+    }
+    return d;
+  }
+  BoxD bounds() const override { return {lo_, hi_}; }
+
+ private:
+  Vec3d lo_, hi_;
+};
+
+/// Square duct, 8 x 8 sites across and 32 long, between two iolets.
+SparseLattice bodyForceDuct() {
+  constexpr double kHalf = 1.0, kLength = 8.0;
+  geometry::Scene scene;
+  scene.addShape(std::make_unique<BoxShape>(Vec3d{-1.0, -kHalf, -kHalf},
+                                            Vec3d{kLength + 1.0, kHalf, kHalf}));
+  geometry::Iolet in;
+  in.kind = geometry::Iolet::Kind::kInlet;
+  in.center = {0, 0, 0};
+  in.normal = {1, 0, 0};
+  in.radius = 2.0 * kHalf;  // covers the corners of the square section
+  geometry::Iolet out = in;
+  out.kind = geometry::Iolet::Kind::kOutlet;
+  out.center = {kLength, 0, 0};
+  out.normal = {-1, 0, 0};
+  scene.addIolet(in);
+  scene.addIolet(out);
+  geometry::VoxelizeOptions opt;
+  opt.voxelSize = 0.25;
+  return geometry::voxelize(scene, opt);
+}
+
+class TrtTauInvarianceTest
+    : public ::testing::TestWithParam<LbParams::Kernel> {};
+
+TEST_P(TrtTauInvarianceTest, SteadyBodyForceFlowTimesViscosityIsTauFree) {
+  // With TRT at fixed magic Lambda the steady Stokes solution depends on
+  // Lambda only, so the body-force flow rate scales exactly as 1/nu: u * nu
+  // must not move with tau. Scaling the whole Guo source by (1 - omega+/2)
+  // breaks this by a tau-dependent factor (0.38 at tau 0.6, 1.23 at 1.2).
+  // What remains is the O(u^2) inertial part, which shrinks with the
+  // square of the force: 1.2e-8 at tau 0.6 for this force, 1.2e-6 for a
+  // ten times stronger one.
+  const auto lattice = bodyForceDuct();
+  ASSERT_EQ(lattice.numFluidSites() % 64, 0u);
+  const auto fluxTimesNu = [&](double tau, int steps) {
+    LbParams p;
+    p.tau = tau;
+    p.collision = LbParams::Collision::kTrt;
+    p.bodyForce = {1e-6, 0, 0};
+    p.kernel = GetParam();
+    const auto field = runGathered(lattice, 2, p, steps);
+    double sum = 0.0;
+    for (const auto& u : field.u) sum += u.x;
+    return sum * p.viscosity();
+  };
+  // Steps scale with 1/nu so every run covers the same diffusive time.
+  const double reference = fluxTimesNu(0.8, 3000);
+  ASSERT_GT(reference, 0.0);
+  for (const double tau : {0.6, 1.2}) {
+    const int steps = static_cast<int>(3000 * (0.8 - 0.5) / (tau - 0.5));
+    EXPECT_NEAR(fluxTimesNu(tau, steps) / reference, 1.0, 1e-7)
+        << "tau " << tau;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, TrtTauInvarianceTest,
+                         ::testing::ValuesIn(kKernels));
+
 TEST(Lattice27, ProfileAgreesWithD3Q19) {
   // The 27-velocity set resolves the same hydrodynamics; bulk fields from
   // the two lattices must agree closely after the same number of steps.
