@@ -14,7 +14,7 @@
 
 #include "common.hpp"
 #include "core/driver.hpp"
-#include "steer/server.hpp"
+#include "steer/session.hpp"
 
 int main() {
   using namespace hemobench;

@@ -7,6 +7,7 @@
 #include "lb/buddy.hpp"
 #include "lb/migration.hpp"
 #include "lb/wss.hpp"
+#include "steer/session.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
 #include "util/log.hpp"
@@ -25,7 +26,6 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
       octree_(std::make_unique<multires::FieldOctree>(domain,
                                                       config.octreeLeafLog2)),
       brick_(std::make_unique<vis::VolumeBrick>(domain)),
-      server_(std::move(steerEnd)),
       sentinel_(config.sentinel) {
   HEMO_CHECK_MSG(!config.computeWss || config.lb.computeStress,
                  "computeWss requires LbParams::computeStress");
@@ -43,6 +43,25 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
   pipeline_.addStage(std::move(render));
 
   initialMass_ = comm.allreduceSum(solver_->localMass());
+
+  // Only rank 0's channel end is served; one broadcast makes "is anyone
+  // serving" identical on every rank.
+  std::uint8_t channel = comm.rank() == 0 && steerEnd.valid() ? 1 : 0;
+  comm.bcast(channel, 0);
+  steerChannel_ = serving_ = channel != 0;
+  if (comm.rank() == 0 && steerChannel_) {
+    // The steering channel never drops a frame: unbounded outbox.
+    serve::BrokerConfig bcfg;
+    bcfg.outboxCapacity = 0;
+    channelBroker_ = std::make_unique<serve::SessionBroker>(bcfg);
+    channelClient_ = channelBroker_->addClient(std::move(steerEnd));
+    channelBroker_->subscribe(channelClient_, serve::StreamKind::kStatus,
+                              config.statusEvery);
+    channelBroker_->subscribe(channelClient_, serve::StreamKind::kTelemetry,
+                              config.statusEvery);
+    broker_ = channelBroker_.get();
+    followVisEvery();
+  }
 
   if (comm.rank() == 0) {
     HEMO_LOG_INFO() << "lb hot path: kernel=" << config.lb.kernelName()
@@ -85,8 +104,17 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
 }
 
 void SimulationDriver::attachBroker(serve::SessionBroker* broker) {
+  HEMO_CHECK_MSG(!steerChannel_,
+                 "a driver serving a steering channel cannot attach a broker");
   broker_ = broker;
-  brokerMode_ = true;
+  serving_ = true;
+}
+
+void SimulationDriver::followVisEvery() {
+  if (channelBroker_) {
+    channelBroker_->subscribe(channelClient_, serve::StreamKind::kImage,
+                              config_.visEvery);
+  }
 }
 
 void SimulationDriver::runPipelineNow() {
@@ -100,28 +128,22 @@ void SimulationDriver::runPipelineNow() {
   ctx.step = solver_->stepsDone();
   lastOutputs_ = pipeline_.run(ctx);
 
-  // Push the fresh frame to the steering client (loop step 6 of §IV.C.1).
-  // In broker mode the render happens once and fans out through the shared
-  // frame cache to every image subscriber whose cadence is due.
-  if (comm_->rank() == 0 && lastOutputs_.volumeImage.numPixels() > 0) {
-    steer::ImageFrame frame;
-    frame.step = lastOutputs_.step;
-    frame.width = lastOutputs_.volumeImage.width();
-    frame.height = lastOutputs_.volumeImage.height();
-    frame.rgb = lastOutputs_.volumeImage.toRgb8();
+  // Keep the wire frame for the broker (loop step 6 of §IV.C.1): the run
+  // loop publishes cadence renders, kRequestFrame answers the requester.
+  if (broker_ != nullptr && lastOutputs_.volumeImage.numPixels() > 0) {
+    lastImageFrame_.step = lastOutputs_.step;
+    lastImageFrame_.width = lastOutputs_.volumeImage.width();
+    lastImageFrame_.height = lastOutputs_.volumeImage.height();
+    lastImageFrame_.rgb = lastOutputs_.volumeImage.toRgb8();
     lastViewKey_ = serve::viewKey(renderStage_->options());
-    if (brokerMode_) {
-      lastImageFrame_ = std::move(frame);
-      if (broker_ != nullptr) {
-        broker_->publishImage(*comm_, lastViewKey_, lastImageFrame_);
-      }
-    } else {
-      server_.sendImage(*comm_, frame);
-    }
   }
 }
 
 steer::StatusReport SimulationDriver::computeStatus() {
+  if (statusCurrent_) {
+    lastStatus_.paused = paused_ ? 1 : 0;
+    return lastStatus_;
+  }
   steer::StatusReport s;
   s.step = solver_->stepsDone();
   s.totalSites = comm_->allreduceSum<std::uint64_t>(domain_->numOwned());
@@ -182,23 +204,8 @@ steer::StatusReport SimulationDriver::computeStatus() {
     }
   }
   lastStatus_ = s;
+  statusCurrent_ = true;
   return s;
-}
-
-void SimulationDriver::sendRejectRouted(std::uint32_t commandId,
-                                        steer::RejectReason reason,
-                                        steer::MsgType type) {
-  if (brokerMode_) {
-    if (broker_ != nullptr) {
-      broker_->respondReject(*comm_, commandId, reason, type);
-    }
-  } else {
-    steer::Reject reject;
-    reject.type = type;
-    reject.commandId = commandId;
-    reject.reason = reason;
-    server_.sendReject(*comm_, reject);
-  }
 }
 
 void SimulationDriver::recordChange(const steer::Command& cmd) {
@@ -257,8 +264,11 @@ void SimulationDriver::quarantineLatestChange() {
   noteFlight("quarantined steered command " +
              std::to_string(change.cmd.commandId) + " applied at step " +
              std::to_string(change.step));
-  sendRejectRouted(change.cmd.commandId, steer::RejectReason::kDivergence,
-                   steer::MsgType::kRejectedAfterRollback);
+  if (broker_ != nullptr) {
+    broker_->respondReject(*comm_, change.cmd.commandId,
+                           steer::RejectReason::kDivergence,
+                           steer::MsgType::kRejectedAfterRollback);
+  }
 }
 
 void SimulationDriver::applyCommand(const steer::Command& cmd) {
@@ -281,7 +291,9 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
                         << " (type " << static_cast<int>(cmd.type)
                         << "): " << steer::rejectReasonName(reason);
       }
-      sendRejectRouted(cmd.commandId, reason, MsgType::kReject);
+      if (broker_ != nullptr) {
+        broker_->respondReject(*comm_, cmd.commandId, reason);
+      }
       return;
     }
   }
@@ -296,6 +308,7 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
       break;
     case MsgType::kSetVisRate:
       config_.visEvery = std::max(1, cmd.visRate);
+      followVisEvery();
       break;
     case MsgType::kSetRenderClip: {
       // ROI rendering: clip the volume render to the requested lattice
@@ -334,29 +347,21 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
       break;
     case MsgType::kRequestStatus: {
       const auto status = computeStatus();
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondStatus(*comm_, cmd.commandId, status);
-        }
-      } else {
-        server_.sendStatus(*comm_, status);
+      if (broker_ != nullptr) {
+        broker_->respondStatus(*comm_, cmd.commandId, status);
       }
       break;
     }
     case MsgType::kRequestTelemetry: {
       const auto report = computeStepReport();
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondTelemetry(*comm_, cmd.commandId, report);
-        }
-      } else {
-        server_.sendTelemetry(*comm_, report);
+      if (broker_ != nullptr) {
+        broker_->respondTelemetry(*comm_, cmd.commandId, report);
       }
       break;
     }
     case MsgType::kRequestFrame:
       runPipelineNow();
-      if (brokerMode_ && broker_ != nullptr) {
+      if (broker_ != nullptr) {
         broker_->respondImage(*comm_, cmd.commandId, lastViewKey_,
                               lastImageFrame_);
       }
@@ -377,13 +382,7 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
       roi.step = solver_->stepsDone();
       roi.level = level;
       roi.nodes = std::move(nodes);
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondRoi(*comm_, cmd.commandId, roi);
-        }
-      } else {
-        server_.sendRoi(*comm_, roi);
-      }
+      if (broker_ != nullptr) broker_->respondRoi(*comm_, cmd.commandId, roi);
       break;
     }
     case MsgType::kRequestObservable: {
@@ -451,12 +450,8 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
       report.kind = cmd.observable;
       report.value = value;
       report.siteCount = count;
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondObservable(*comm_, cmd.commandId, report);
-        }
-      } else {
-        server_.sendObservable(*comm_, report);
+      if (broker_ != nullptr) {
+        broker_->respondObservable(*comm_, cmd.commandId, report);
       }
       break;
     }
@@ -468,20 +463,15 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
                       << static_cast<int>(cmd.type);
       break;
   }
-  if (brokerMode_) {
-    // Routed ack: reaches only the issuing client(s); suppressed for
-    // synthesized subscription ticks.
-    if (broker_ != nullptr) broker_->respondAck(*comm_, cmd.commandId);
-  } else {
-    server_.sendAck(*comm_, cmd.commandId);
-  }
+  // Routed ack: reaches only the issuing client(s); suppressed for
+  // synthesized subscription ticks.
+  if (broker_ != nullptr) broker_->respondAck(*comm_, cmd.commandId);
 }
 
 void SimulationDriver::pollSteering() {
-  std::vector<steer::Command> commands;
-  if (brokerMode_) {
-    HEMO_TSPAN(kSteer, "serve.poll");
-    std::vector<steer::Command> drained;
+  HEMO_TSPAN(kSteer, "serve.poll");
+  std::vector<steer::Command> drained;
+  if (serving_) {
     std::uint8_t healthy = 1;
     if (comm_->rank() == 0 && broker_ != nullptr) {
       try {
@@ -496,7 +486,7 @@ void SimulationDriver::pollSteering() {
     }
     comm_->bcast(healthy, 0);
     if (healthy == 0) {
-      brokerMode_ = false;
+      serving_ = false;
       broker_ = nullptr;
       if (auto* t = telemetry::threadTelemetry()) {
         t->metrics().counter("serve.broker_failures").add(1);
@@ -506,11 +496,8 @@ void SimulationDriver::pollSteering() {
                  "; degraded to solver-only");
       return;
     }
-    commands = steer::broadcastCommands(*comm_, drained);
-  } else {
-    commands = server_.poll(*comm_);
   }
-  for (const auto& cmd : commands) {
+  for (const auto& cmd : steer::broadcastCommands(*comm_, drained)) {
     applyCommand(cmd);
   }
 }
@@ -520,11 +507,15 @@ lb::RestoreResult SimulationDriver::restoreLatest() {
                            "no buddy store or checkpoint directory set"};
   if (config_.buddy.store != nullptr) {
     result = lb::restoreFromBuddy(*config_.buddy.store, *solver_, *comm_);
-    if (result.ok()) return result;
+    if (result.ok()) {
+      invalidateStepReports();
+      return result;
+    }
     noteFlight("restore: buddy snapshot unavailable (" + result.detail + ")");
   }
   if (config_.checkpointEvery > 0 && !config_.checkpointDir.empty()) {
     result = lb::restoreLatest(config_.checkpointDir, *solver_, *comm_);
+    if (result.ok()) invalidateStepReports();
   }
   return result;
 }
@@ -663,6 +654,7 @@ telemetry::StepReport SimulationDriver::computeStepReport() {
   static_assert(comm::kNumTrafficClasses <=
                     telemetry::kReportTrafficClasses,
                 "StepReport traffic arrays too small for comm::Traffic");
+  if (reportCurrent_) return lastStepReport_;
   telemetry::StepReport local;
   local.step = solver_->stepsDone();
   local.sites = domain_->numOwned();
@@ -715,6 +707,7 @@ telemetry::StepReport SimulationDriver::computeStepReport() {
   const auto perRank = comm_->allgather(local);
   lastStepReport_ = telemetry::aggregateStepReports(perRank);
   lastPerRankReports_ = perRank;
+  reportCurrent_ = true;
 
   // Publish the rank-visible aggregate to this rank's metrics registry.
   if (auto* t = telemetry::threadTelemetry()) {
@@ -748,8 +741,8 @@ telemetry::StepReport SimulationDriver::computeStepReport() {
     fw.local = local;
     fw.aggregate = lastStepReport_;
     fw.sentinel = lastSentinel_;
-    fw.broker.active = brokerMode_ ? 1 : 0;
-    if (brokerMode_ && broker_ != nullptr) {
+    fw.broker.active = serving_ ? 1 : 0;
+    if (broker_ != nullptr) {
       fw.broker.clients = broker_->numClients();
       fw.broker.aliveClients = broker_->numAliveClients();
     }
@@ -813,6 +806,7 @@ int SimulationDriver::run(int steps) {
       solver_->step();
       lastStepSeconds_ = stepTimer.seconds();
     }
+    invalidateStepReports();
     if (stepsCounter_ != nullptr) {
       stepsCounter_->add(1);
       stepSecondsHist_->add(lastStepSeconds_);
@@ -845,24 +839,37 @@ int SimulationDriver::run(int steps) {
             0) {
       maybeRepartition();
     }
-    bool renderDue =
-        config_.visEvery > 0 &&
-        done % static_cast<std::uint64_t>(config_.visEvery) == 0;
-    if (brokerMode_) {
-      // Subscription cadences live on rank 0 (the broker); a 1-byte
-      // broadcast keeps the collective render decision identical on every
-      // rank.
-      std::uint8_t due = renderDue ? 1 : 0;
-      if (comm_->rank() == 0 && broker_ != nullptr &&
-          broker_->imageDue(done)) {
-        due = 1;
+    // What is due after this step: the driver's own cadences, plus (on
+    // rank 0) any client subscription. One broadcast carries all three
+    // bits, keeping the collective decisions identical on every rank.
+    constexpr std::uint8_t kRenderDue = 1, kStatusDue = 2, kTelemetryDue = 4;
+    const bool statusCadence =
+        config_.statusEvery > 0 &&
+        done % static_cast<std::uint64_t>(config_.statusEvery) == 0;
+    std::uint8_t due = statusCadence ? kStatusDue | kTelemetryDue : 0;
+    if (config_.visEvery > 0 &&
+        done % static_cast<std::uint64_t>(config_.visEvery) == 0) {
+      due |= kRenderDue;
+    }
+    if (serving_) {
+      if (broker_ != nullptr) {
+        using serve::StreamKind;
+        if (broker_->streamDue(StreamKind::kImage, done)) due |= kRenderDue;
+        if (broker_->streamDue(StreamKind::kStatus, done)) due |= kStatusDue;
+        if (broker_->streamDue(StreamKind::kTelemetry, done)) {
+          due |= kTelemetryDue;
+        }
       }
       comm_->bcast(due, 0);
-      renderDue = due != 0;
     }
-    if (renderDue) {
+    if (due & kRenderDue) {
       WallTimer pipeTimer;
       runPipelineNow();
+      // Render once; the broker fans the frame out through its shared
+      // cache to every image subscriber whose cadence is due.
+      if (broker_ != nullptr && lastOutputs_.volumeImage.numPixels() > 0) {
+        broker_->publishImage(*comm_, lastViewKey_, lastImageFrame_);
+      }
       if (config_.adaptiveVisBudget > 0.0) {
         // Rank 0 owns the clock; the chosen cadence is broadcast so every
         // rank's pipeline keeps firing on the same steps.
@@ -870,6 +877,7 @@ int SimulationDriver::run(int steps) {
         int every = scheduler_.recommendedEvery();
         comm_->bcast(every, 0);
         config_.visEvery = every;
+        followVisEvery();
       }
     }
     if (checkpointDue) {
@@ -882,17 +890,20 @@ int SimulationDriver::run(int steps) {
       }
     }
     if (mirrorDue) lb::mirrorBuddy(*solver_, *comm_, *config_.buddy.store);
-    if (config_.statusEvery > 0 &&
-        done % static_cast<std::uint64_t>(config_.statusEvery) == 0) {
-      server_.sendStatus(*comm_, computeStatus());
-      server_.sendTelemetry(*comm_, computeStepReport());
-      // Flush live serve.* counters every window: frames_dropped grows
-      // inside the client outboxes as they evict, so without this it only
-      // surfaced when some frame publish happened to run publishMetrics.
-      if (comm_->rank() == 0 && broker_ != nullptr) {
-        broker_->publishMetrics();
-      }
+    // Status and telemetry are computed once per due step and published
+    // to every due subscriber.
+    if (due & kStatusDue) {
+      const auto status = computeStatus();
+      if (broker_ != nullptr) broker_->publishStatus(*comm_, status);
     }
+    if (due & kTelemetryDue) {
+      const auto report = computeStepReport();
+      if (broker_ != nullptr) broker_->publishTelemetry(*comm_, report);
+    }
+    // Flush live serve.* counters every window: frames_dropped grows
+    // inside the client outboxes as they evict, so without this it only
+    // surfaced when some frame publish happened to run publishMetrics.
+    if (statusCadence && broker_ != nullptr) broker_->publishMetrics();
   }
   return executed;
 }

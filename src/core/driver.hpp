@@ -5,14 +5,16 @@
 /// until completion or a terminate command.
 ///
 /// Per step the driver (on every rank, collectively):
-///   1. polls the steering server — commands broadcast from the master and
-///      applied identically everywhere (vis parameters, sim parameters,
-///      pause/resume, ROI requests, frame requests, terminate);
+///   1. polls the session broker on rank 0 — commands broadcast from the
+///      master and applied identically everywhere (vis parameters, sim
+///      parameters, pause/resume, ROI requests, frame requests, terminate);
 ///   2. advances the LB solver one step (unless paused);
-///   3. every `visEvery` steps runs the Fig 3 pipeline and pushes the
-///      resulting image to the steering client;
-///   4. every `statusEvery` steps emits a status report (runtime estimate,
-///      consistency checks — §I's "status informations").
+///   3. every `visEvery` steps (or when an image subscription is due) runs
+///      the Fig 3 pipeline and publishes the image to the subscribers;
+///   4. every `statusEvery` steps (or when a status / telemetry
+///      subscription is due) computes the status report (runtime estimate,
+///      consistency checks — §I's "status informations") and the telemetry
+///      window once, and publishes them to the subscribers.
 
 #include <deque>
 #include <memory>
@@ -29,7 +31,6 @@
 #include "partition/repartition.hpp"
 #include "serve/broker.hpp"
 #include "steer/guard.hpp"
-#include "steer/server.hpp"
 #include "telemetry/step_report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/timer.hpp"
@@ -146,8 +147,12 @@ struct MigrationOutcome {
 class SimulationDriver {
  public:
   /// Collective construction. `steerEnd` is the master-side channel end of
-  /// the steering connection; pass a default ChannelEnd to disable
-  /// steering (e.g. batch runs).
+  /// the steering connection; only rank 0's end is used, and a default
+  /// ChannelEnd disables steering (e.g. batch runs). Rank 0 serves the
+  /// channel through a driver-owned one-client SessionBroker with an
+  /// unbounded outbox, subscribed server-side to images every visEvery
+  /// (following visEvery when steering or the adaptive scheduler moves it)
+  /// and to status and telemetry every statusEvery.
   SimulationDriver(const lb::DomainMap& domain, comm::Communicator& comm,
                    const DriverConfig& config,
                    comm::ChannelEnd steerEnd = {});
@@ -165,15 +170,17 @@ class SimulationDriver {
   RenderStage& renderStage() { return *renderStage_; }
   const DriverConfig& config() const { return config_; }
 
-  /// Switch the driver into serving mode (collective: every rank calls
-  /// this; only rank 0 passes the broker, others pass nullptr). Steering
-  /// commands are then drained from the broker's N client channels instead
-  /// of the single SteeringServer channel, responses route back to the
-  /// requesting client(s), and rendered frames fan out through the
-  /// broker's shared frame cache to every due image subscriber.
+  /// Serve a caller-owned broker (collective: every rank calls this; only
+  /// rank 0 passes the broker, others pass nullptr). Steering commands are
+  /// drained from the broker's client channels, responses route back to
+  /// the requesting client(s), rendered frames fan out through the
+  /// broker's shared frame cache to every due image subscriber, and status
+  /// and telemetry go to their due subscribers. A driver constructed with
+  /// a steering channel already serves it and cannot attach another broker.
   void attachBroker(serve::SessionBroker* broker);
 
-  /// Run the in situ pipeline immediately (collective).
+  /// Run the in situ pipeline immediately (collective). The frame is kept
+  /// for lastOutputs(), not published to subscribers.
   void runPipelineNow();
 
   /// The restore ladder shared by sentinel rollback and ResilientRunner
@@ -187,17 +194,21 @@ class SimulationDriver {
   /// is configured) and leaves the solver untouched.
   lb::RestoreResult restoreLatest();
 
-  /// True while broker mode is active and the broker is healthy. After a
-  /// broker failure the driver degrades to solver-only and this flips
-  /// false (identical on every rank).
-  bool brokerHealthy() const { return brokerMode_; }
+  /// True while a broker (attached, or serving the steering channel) is
+  /// active and healthy. After a broker failure the driver degrades to
+  /// solver-only and this flips false (identical on every rank).
+  bool brokerHealthy() const { return serving_; }
 
-  /// Compute a status report (collective).
+  /// Compute a status report (collective). The collectives run at most once
+  /// per solver step; later calls in the same step return that report with
+  /// the current pause state.
   steer::StatusReport computeStatus();
 
   /// Aggregate the telemetry window since the previous report into one
   /// StepReport (collective: every rank gathers its local window, the
-  /// result is identical everywhere) and start a new window.
+  /// result is identical everywhere) and start a new window. At most one
+  /// window closes per solver step: later calls in the same step return
+  /// the window already closed, without another allgather.
   telemetry::StepReport computeStepReport();
 
   /// The last aggregate produced by computeStepReport().
@@ -245,9 +256,10 @@ class SimulationDriver {
 
   void applyCommand(const steer::Command& cmd);
   void pollSteering();
-  /// Route a typed NACK to the issuing client (broker or plain server).
-  void sendRejectRouted(std::uint32_t commandId, steer::RejectReason reason,
-                        steer::MsgType type);
+  /// Keep the steering channel's image subscription on config_.visEvery.
+  void followVisEvery();
+  /// Forget this step's status and telemetry (the solver state moved).
+  void invalidateStepReports() { statusCurrent_ = reportCurrent_ = false; }
   /// Snapshot the pre-change state of a mutating command into history_.
   void recordChange(const steer::Command& cmd);
   /// Revert the most recent steered change and NACK it retroactively.
@@ -277,10 +289,13 @@ class SimulationDriver {
   std::unique_ptr<vis::VolumeBrick> brick_;
   InSituPipeline pipeline_;
   RenderStage* renderStage_ = nullptr;  // owned by pipeline_
-  steer::SteeringServer server_;
-  serve::SessionBroker* broker_ = nullptr;  ///< rank 0 only in broker mode
-  bool brokerMode_ = false;                 ///< identical on every rank
-  steer::ImageFrame lastImageFrame_;        ///< rank 0, broker mode
+  /// Rank 0: the broker serving the steering channel, when given one.
+  std::unique_ptr<serve::SessionBroker> channelBroker_;
+  int channelClient_ = -1;  ///< the channel's client id in channelBroker_
+  bool steerChannel_ = false;  ///< identical on every rank
+  serve::SessionBroker* broker_ = nullptr;  ///< rank 0 only, while serving
+  bool serving_ = false;                    ///< identical on every rank
+  steer::ImageFrame lastImageFrame_;        ///< rank 0, while serving
   std::uint64_t lastViewKey_ = 0;
 
   StabilitySentinel sentinel_;
@@ -291,6 +306,9 @@ class SimulationDriver {
 
   PipelineOutputs lastOutputs_;
   steer::StatusReport lastStatus_;
+  /// lastStatus_ / lastStepReport_ belong to the current solver step.
+  bool statusCurrent_ = false;
+  bool reportCurrent_ = false;
   AdaptiveVisScheduler scheduler_{0.5};
   double lastStepSeconds_ = 0.0;
   double initialMass_ = 0.0;

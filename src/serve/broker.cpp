@@ -64,6 +64,14 @@ int SessionBroker::addClient(comm::ChannelEnd end) {
   return static_cast<int>(clients_.size()) - 1;
 }
 
+void SessionBroker::subscribe(int client, StreamKind kind, int cadence) {
+  auto& s = clients_[static_cast<std::size_t>(client)]
+                .subs[static_cast<int>(kind)];
+  s.active = cadence > 0;
+  s.cadence = cadence;
+  s.lastFiredStep = ~std::uint64_t{0};
+}
+
 comm::ChannelEnd SessionBroker::connect() {
   auto [clientEnd, brokerEnd] = comm::makeChannelPair();
   addClient(std::move(brokerEnd));
@@ -254,9 +262,9 @@ std::vector<steer::Command> SessionBroker::drainCommands(
   }
   heartbeat(comm, step);
 
-  // Synthesize one tick command per *distinct* due request, shared by all
-  // clients whose subscription matches — N status subscribers cost one
-  // collective status computation, not N.
+  // Synthesize one tick command per *distinct* due observable or ROI
+  // request, shared by all clients whose subscription matches — N
+  // subscribers cost one collective computation, not N.
   struct TickKey {
     steer::MsgType type;
     BoxI roi;
@@ -278,18 +286,10 @@ std::vector<steer::Command> SessionBroker::drainCommands(
     if (!client.alive) continue;
     for (int k = 0; k < kNumStreams; ++k) {
       const auto kind = static_cast<StreamKind>(k);
-      if (kind == StreamKind::kImage) continue;  // served via publishImage
       auto& s = client.subs[k];
       if (!due(s, step) || s.lastFiredStep == step) continue;
-      s.lastFiredStep = step;
       steer::Command cmd = s.params;
       switch (kind) {
-        case StreamKind::kStatus:
-          cmd.type = steer::MsgType::kRequestStatus;
-          break;
-        case StreamKind::kTelemetry:
-          cmd.type = steer::MsgType::kRequestTelemetry;
-          break;
         case StreamKind::kObservable:
           cmd.type = steer::MsgType::kRequestObservable;
           break;
@@ -297,8 +297,9 @@ std::vector<steer::Command> SessionBroker::drainCommands(
           cmd.type = steer::MsgType::kSetRoi;
           break;
         default:
-          continue;
+          continue;  // published by the driver after the step
       }
+      s.lastFiredStep = step;
       TickKey key{cmd.type, cmd.roi, cmd.roiLevel, cmd.observable};
       auto [it, inserted] = ticks.try_emplace(key, 0);
       if (inserted) {
@@ -315,13 +316,33 @@ std::vector<steer::Command> SessionBroker::drainCommands(
   return out;
 }
 
-bool SessionBroker::imageDue(std::uint64_t step) const {
+bool SessionBroker::streamDue(StreamKind kind, std::uint64_t step) const {
   for (const auto& client : clients_) {
-    if (due(client.subs[static_cast<int>(StreamKind::kImage)], step)) {
-      return true;
-    }
+    if (due(client.subs[static_cast<int>(kind)], step)) return true;
   }
   return false;
+}
+
+void SessionBroker::publishTo(comm::Communicator& comm, StreamKind kind,
+                              std::uint64_t step,
+                              const std::vector<std::byte>& frame) {
+  for (auto& client : clients_) {
+    if (due(client.subs[static_cast<int>(kind)], step)) {
+      sendTo(comm, client, frame, frame.size());
+    }
+  }
+}
+
+void SessionBroker::publishStatus(comm::Communicator& comm,
+                                  const steer::StatusReport& status) {
+  publishTo(comm, StreamKind::kStatus, status.step,
+            steer::encodeStatus(status));
+}
+
+void SessionBroker::publishTelemetry(comm::Communicator& comm,
+                                     const telemetry::StepReport& report) {
+  publishTo(comm, StreamKind::kTelemetry, report.step,
+            steer::encodeTelemetry(report));
 }
 
 const std::vector<std::byte>& SessionBroker::cachedImage(

@@ -1,14 +1,22 @@
 #pragma once
 /// \file broker.hpp
-/// \brief Multi-client session broker for the in situ serving plane.
+/// \brief Session broker: the one serving path of the simulation master.
 ///
-/// The paper's §IV.C.1 steering loop assumes one client attached to the
-/// simulation master. The broker generalises that to N concurrent clients
-/// on rank 0: it tracks per-client subscriptions (image / status /
+/// §IV.C.1 steps 2-4: "A steering client is connected to the simulation
+/// master node. The client sends visualisation parameters ... The
+/// simulation master propagates this to the visualisation component." The
+/// broker lives on rank 0 and drains its client channels without blocking
+/// the solver; the driver broadcasts each drained command
+/// (steer::broadcastCommands) so all ranks apply it in the same step.
+///
+/// The broker generalises the paper's single client to N concurrent
+/// clients: it tracks per-client subscriptions (image / status /
 /// telemetry / observable / ROI streams, each with its own cadence),
 /// fans frames out, and isolates slow consumers — every client has a
 /// bounded outbox with a latest-wins drop policy, so a stalled client
-/// costs dropped frames, never a stalled solver or starved peers.
+/// costs dropped frames, never a stalled solver or starved peers. The
+/// paper's single steering channel is a one-client broker with an
+/// unbounded outbox, subscribed server-side to the driver's cadences.
 ///
 /// A shared frame cache sits between the vis pipeline and the outboxes:
 /// when M clients subscribe to the same view/field/cadence the pipeline
@@ -118,25 +126,38 @@ class SessionBroker {
     return clients_[static_cast<std::size_t>(client)].alive;
   }
 
+  /// Server-side subscription of `client` to `kind` every `cadence` steps
+  /// (cadence <= 0 unsubscribes). Serving thread only, like addClient().
+  void subscribe(int client, StreamKind kind, int cadence);
+
   // --- serving surface (rank-0 thread; the driver calls these) ----------
 
   /// Drain every client channel. Subscription and codec commands are
   /// handled (and acked) in place; remaining steering commands are
   /// returned with broker-unique command ids, followed by synthesized
-  /// tick commands for every subscription due at `step`. The caller
-  /// routes responses back through the respond* methods using the
-  /// (rewritten) Command::commandId.
+  /// tick commands for every observable and ROI subscription due at
+  /// `step` (image, status and telemetry streams are published by the
+  /// driver after the step instead). The caller routes responses back
+  /// through the respond* methods using the (rewritten)
+  /// Command::commandId.
   std::vector<steer::Command> drainCommands(comm::Communicator& comm,
                                             std::uint64_t step);
 
-  /// True when any client's image subscription is due at `step`.
-  bool imageDue(std::uint64_t step) const;
+  /// True when any client's `kind` subscription is due at `step`.
+  bool streamDue(StreamKind kind, std::uint64_t step) const;
 
   /// Fan `frame` out to every image subscriber due at frame.step. The
   /// frame is encoded once per distinct codec config through the shared
   /// cache; `view` is the viewKey() of the rendered options.
   void publishImage(comm::Communicator& comm, std::uint64_t view,
                     const steer::ImageFrame& frame);
+
+  /// Fan a status report / telemetry window out to every subscriber of
+  /// that stream due at its step, encoded once. No acks.
+  void publishStatus(comm::Communicator& comm,
+                     const steer::StatusReport& status);
+  void publishTelemetry(comm::Communicator& comm,
+                        const telemetry::StepReport& report);
 
   // Routed responses for commands returned by drainCommands(). Acks are
   /// suppressed for synthesized subscription ticks.
@@ -228,6 +249,10 @@ class SessionBroker {
     return s.active && s.cadence > 0 &&
            step % static_cast<std::uint64_t>(s.cadence) == 0;
   }
+
+  /// Push `frame` to every client whose `kind` subscription is due.
+  void publishTo(comm::Communicator& comm, StreamKind kind,
+                 std::uint64_t step, const std::vector<std::byte>& frame);
 
   /// Push one wire frame into a client outbox, charging the kSteer class
   /// and the serve.* counters.

@@ -1,4 +1,4 @@
-#include "steer/server.hpp"
+#include "steer/session.hpp"
 
 #include <cstring>
 
@@ -37,73 +37,6 @@ std::vector<Command> broadcastCommands(
     pos += n;
   }
   return commands;
-}
-
-std::vector<Command> SteeringServer::poll(comm::Communicator& comm) {
-  HEMO_TSPAN(kSteer, "steer.poll");
-  // Rank 0 drains the channel into decoded commands, then the collective
-  // broadcast distributes them so all ranks apply the same list.
-  std::vector<Command> drained;
-  if (comm.rank() == 0 && channel_.valid()) {
-    while (auto frame = channel_.tryRecv()) {
-      // Client→master traffic enters the rank through the channel, not the
-      // mailbox, so it must be counted here to keep the steering class
-      // symmetric with the master→client sends.
-      auto& c = comm.counters().of(comm::Traffic::kSteer);
-      ++c.messagesReceived;
-      c.bytesReceived += frame->size();
-      drained.push_back(decodeCommand(*frame));
-    }
-  }
-  return broadcastCommands(comm, drained);
-}
-
-void SteeringServer::sendStatus(comm::Communicator& comm,
-                                const StatusReport& status) {
-  if (comm.rank() == 0 && channel_.valid()) {
-    channel_.send(encodeStatus(status));
-  }
-}
-
-void SteeringServer::sendImage(comm::Communicator& comm,
-                               const ImageFrame& frame) {
-  if (comm.rank() == 0 && channel_.valid()) {
-    channel_.send(encodeImage(frame));
-  }
-}
-
-void SteeringServer::sendRoi(comm::Communicator& comm, const RoiData& roi) {
-  if (comm.rank() == 0 && channel_.valid()) {
-    channel_.send(encodeRoi(roi));
-  }
-}
-
-void SteeringServer::sendObservable(comm::Communicator& comm,
-                                    const ObservableReport& report) {
-  if (comm.rank() == 0 && channel_.valid()) {
-    channel_.send(encodeObservable(report));
-  }
-}
-
-void SteeringServer::sendTelemetry(comm::Communicator& comm,
-                                   const telemetry::StepReport& report) {
-  if (comm.rank() == 0 && channel_.valid()) {
-    channel_.send(encodeTelemetry(report));
-  }
-}
-
-void SteeringServer::sendAck(comm::Communicator& comm,
-                             std::uint32_t commandId) {
-  if (comm.rank() == 0 && channel_.valid()) {
-    channel_.send(encodeAck(commandId));
-  }
-}
-
-void SteeringServer::sendReject(comm::Communicator& comm,
-                                const Reject& reject) {
-  if (comm.rank() == 0 && channel_.valid()) {
-    channel_.send(encodeReject(reject));
-  }
 }
 
 // --- SteeringClient -------------------------------------------------------------

@@ -1,14 +1,11 @@
 #pragma once
-/// \file server.hpp
-/// \brief Simulation-side steering endpoint.
+/// \file session.hpp
+/// \brief The two ends of a steering session outside the broker.
 ///
-/// §IV.C.1 step 2-4: "A steering client is connected to the simulation
-/// master node. The client sends visualisation parameters ... The
-/// simulation master propagates this to the visualisation component." The
-/// server lives on rank 0, drains the client channel without blocking the
-/// solver, and broadcasts each command so all ranks apply it in the same
-/// step — command propagation is collective and counted as steering
-/// traffic.
+/// On the simulation side, serve::SessionBroker drains client channels on
+/// rank 0; broadcastCommands() then propagates the drained commands so all
+/// ranks apply them in the same step. On the client side, SteeringClient
+/// wraps one channel with typed sends and typed blocking receives.
 
 #include <chrono>
 #include <map>
@@ -23,41 +20,11 @@
 namespace hemo::steer {
 
 /// Collective: rank 0 packs `rank0Commands` (ignored elsewhere) and
-/// broadcasts; every rank returns the identical decoded list. The shared
-/// command-propagation step of SteeringServer::poll and the serving-plane
-/// broker, counted as kSteer traffic.
+/// broadcasts; every rank returns the identical decoded list. The
+/// command-propagation step of the driver's per-step poll, counted as
+/// kSteer traffic.
 std::vector<Command> broadcastCommands(comm::Communicator& comm,
                                        const std::vector<Command>& rank0Commands);
-
-class SteeringServer {
- public:
-  /// `clientEnd` is only used on rank 0 (others may pass a default).
-  explicit SteeringServer(comm::ChannelEnd clientEnd)
-      : channel_(std::move(clientEnd)) {}
-
-  /// Collective: rank 0 drains pending frames; every rank receives the
-  /// identical command list (possibly empty). Call once per step.
-  std::vector<Command> poll(comm::Communicator& comm);
-
-  /// Rank 0 only: push a response frame to the client. No-ops elsewhere.
-  void sendStatus(comm::Communicator& comm, const StatusReport& status);
-  void sendImage(comm::Communicator& comm, const ImageFrame& frame);
-  void sendRoi(comm::Communicator& comm, const RoiData& roi);
-  void sendObservable(comm::Communicator& comm,
-                      const ObservableReport& report);
-  void sendTelemetry(comm::Communicator& comm,
-                     const telemetry::StepReport& report);
-  void sendAck(comm::Communicator& comm, std::uint32_t commandId);
-  void sendReject(comm::Communicator& comm, const Reject& reject);
-
-  /// Rank 0 only: frames/bytes pushed to the client so far.
-  std::uint64_t framesSent() const {
-    return channel_.valid() ? channel_.framesSent() : 0;
-  }
-
- private:
-  comm::ChannelEnd channel_;
-};
 
 /// Client-side convenience wrapper: typed sends, typed blocking receives.
 class SteeringClient {

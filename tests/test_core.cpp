@@ -15,6 +15,7 @@
 #include "core/preprocess.hpp"
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
+#include "steer/session.hpp"
 #include "util/stats.hpp"
 
 namespace hemo::core {

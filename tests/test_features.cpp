@@ -17,6 +17,7 @@
 #include "geometry/voxelizer.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
+#include "steer/session.hpp"
 #include "vis/features.hpp"
 #include "vis/particles.hpp"
 

@@ -27,7 +27,7 @@
 #include "partition/partitioners.hpp"
 #include "serve/broker.hpp"
 #include "serve/client.hpp"
-#include "steer/server.hpp"
+#include "steer/session.hpp"
 #include "util/faultinject.hpp"
 
 namespace hemo {
@@ -497,13 +497,12 @@ TEST(BrokerRecovery, TruncatedFrameEvictsThenClientReconnectsAndResumes) {
 
     int statuses = 0;
     for (std::uint64_t step = 1; step <= 3; ++step) {
-      for (const auto& cmd : broker.drainCommands(comm, step)) {
-        if (cmd.type == steer::MsgType::kRequestStatus) {
-          steer::StatusReport status;
-          status.step = step;
-          broker.respondStatus(comm, cmd.commandId, status);
-        }
-        broker.respondAck(comm, cmd.commandId);
+      // Status streams are published after the step, as the driver does.
+      EXPECT_TRUE(broker.drainCommands(comm, step).empty());
+      if (broker.streamDue(serve::StreamKind::kStatus, step)) {
+        steer::StatusReport status;
+        status.step = step;
+        broker.publishStatus(comm, status);
       }
       while (auto event = client.pollEvent()) {
         if (event->type == steer::MsgType::kStatus) ++statuses;

@@ -306,20 +306,18 @@ TEST(Broker, SubscriptionTicksFollowCadence) {
 
     int ticks = 0;
     for (std::uint64_t step = 0; step < 9; ++step) {
-      for (const auto& cmd : broker.drainCommands(comm, step)) {
-        EXPECT_EQ(static_cast<int>(cmd.type),
-                  static_cast<int>(steer::MsgType::kRequestStatus));
-        steer::StatusReport status;
-        status.step = step;
-        broker.respondStatus(comm, cmd.commandId, status);
-        broker.respondAck(comm, cmd.commandId);
-        ++ticks;
-      }
+      // Status is published by the driver after the step, never ticked.
+      EXPECT_TRUE(broker.drainCommands(comm, step).empty());
+      if (!broker.streamDue(StreamKind::kStatus, step)) continue;
+      steer::StatusReport status;
+      status.step = step;
+      broker.publishStatus(comm, status);
+      ++ticks;
     }
     EXPECT_EQ(ticks, 3);  // steps 0, 3, 6
 
     // The client sees the subscribe ack plus one status per due step, and
-    // no acks for the synthesized ticks.
+    // no acks for the published stream frames.
     int statuses = 0, acks = 0;
     while (auto event = client.pollEvent()) {
       if (event->type == steer::MsgType::kStatus) ++statuses;
@@ -330,6 +328,7 @@ TEST(Broker, SubscriptionTicksFollowCadence) {
 
     client.unsubscribe(StreamKind::kStatus);
     EXPECT_TRUE(broker.drainCommands(comm, 12).empty());
+    EXPECT_FALSE(broker.streamDue(StreamKind::kStatus, 12));
     broker.closeAll();
   });
 }
@@ -343,10 +342,14 @@ TEST(Broker, TickSharedAcrossMatchingSubscribers) {
     a.subscribe(StreamKind::kStatus, 1);
     b.subscribe(StreamKind::kStatus, 1);
 
-    const auto cmds = broker.drainCommands(comm, 4);
-    ASSERT_EQ(cmds.size(), 1u);  // deduped: one collective for two clients
-    broker.respondStatus(comm, cmds[0].commandId, steer::StatusReport{});
-    broker.respondAck(comm, cmds[0].commandId);
+    EXPECT_TRUE(broker.drainCommands(comm, 4).empty());
+    ASSERT_TRUE(broker.streamDue(StreamKind::kStatus, 4));
+    // One computation, published once, reaches both clients.
+    steer::StatusReport status;
+    status.step = 4;
+    const auto sentBefore = broker.stats().framesSent;
+    broker.publishStatus(comm, status);
+    EXPECT_EQ(broker.stats().framesSent - sentBefore, 2u);
 
     for (ServeClient* c : {&a, &b}) {
       bool sawStatus = false;
@@ -662,8 +665,9 @@ TEST(BrokerLoop, StreamsDeliverOnCadenceWithNegotiatedCodec) {
           break;
       }
     }
-    // Image cadence 10 over 30 steps: due at 10, 20, 30. Status-like
-    // ticks fire pre-step at 0, 10, 20 (cadence 10) / 0, 15 (cadence 15).
+    // Image, status and telemetry publish after the due steps: 10, 20, 30
+    // (cadence 10) / 15, 30 (cadence 15). Observable and ROI ticks fire
+    // pre-step at 0, 10, 20 (cadence 10) / 0, 15 (cadence 15).
     EXPECT_EQ(images, 3);
     EXPECT_EQ(statuses, 3);
     EXPECT_EQ(telemetries, 2);

@@ -1,5 +1,7 @@
-// Steering protocol + server/client tests: frame round trips, command
-// broadcast semantics, typed awaits, and traffic classification.
+// Steering protocol + master/client tests: frame round trips, command
+// broadcast semantics, typed awaits, and traffic classification. The
+// master side is a one-client SessionBroker, as the driver serves its
+// steering channel.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +12,45 @@
 #include <thread>
 
 #include "comm/runtime.hpp"
+#include "serve/broker.hpp"
 #include "steer/guard.hpp"
 #include "steer/protocol.hpp"
-#include "steer/server.hpp"
+#include "steer/session.hpp"
 #include "util/check.hpp"
 
 namespace hemo::steer {
 namespace {
+
+/// The master side of a steering session as the driver builds it: a
+/// one-client broker with an unbounded outbox. Only rank 0 touches it.
+struct Master {
+  serve::SessionBroker broker{serve::BrokerConfig{0}};
+  int client;
+
+  explicit Master(comm::ChannelEnd end)
+      : client(broker.addClient(std::move(end))) {}
+
+  /// Collective: rank 0 drains the client, every rank gets the commands.
+  std::vector<Command> poll(comm::Communicator& comm) {
+    std::vector<Command> drained;
+    if (comm.rank() == 0) drained = broker.drainCommands(comm, 0);
+    return broadcastCommands(comm, drained);
+  }
+
+  /// Every stream of `kind` is due at every step.
+  void subscribeEveryStep(serve::StreamKind kind) {
+    broker.subscribe(client, kind, 1);
+  }
+};
+
+/// Queue a command with a chosen id straight onto the client channel (a
+/// SteeringClient numbers its own commands from 1).
+void sendWithId(comm::ChannelEnd& end, MsgType type, std::uint32_t id) {
+  Command cmd;
+  cmd.type = type;
+  cmd.commandId = id;
+  end.send(encodeCommand(cmd));
+}
 
 TEST(Protocol, CommandRoundTripAllFields) {
   Command cmd;
@@ -114,10 +148,10 @@ TEST(Server, BroadcastsCommandsToAllRanks) {
   tau.value = 0.9;
   client.send(tau);
 
+  Master master(serverEnd);
   comm::Runtime rt(4);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    const auto cmds = server.poll(comm);
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = master.poll(comm);
     // Every rank sees both commands, in order.
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(static_cast<int>(cmds[0].type),
@@ -126,26 +160,31 @@ TEST(Server, BroadcastsCommandsToAllRanks) {
               static_cast<int>(MsgType::kSetTau));
     EXPECT_DOUBLE_EQ(cmds[1].value, 0.9);
     // A second poll with nothing pending returns empty everywhere.
-    EXPECT_TRUE(server.poll(comm).empty());
+    EXPECT_TRUE(master.poll(comm).empty());
   });
 }
 
 TEST(Server, ResponsesReachTheClient) {
   auto [clientEnd, serverEnd] = comm::makeChannelPair();
   SteeringClient client(clientEnd);
+  sendWithId(clientEnd, MsgType::kPause, 77);
+  Master master(serverEnd);
+  master.subscribeEveryStep(serve::StreamKind::kStatus);
+  master.subscribeEveryStep(serve::StreamKind::kImage);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = master.poll(comm);
+    if (comm.rank() != 0) return;  // the broker lives on rank 0
     StatusReport s;
     s.step = 5;
-    server.sendStatus(comm, s);  // no-op on rank 1
+    master.broker.publishStatus(comm, s);
     ImageFrame f;
     f.step = 5;
     f.width = 1;
     f.height = 1;
     f.rgb = {9, 9, 9};
-    server.sendImage(comm, f);
-    server.sendAck(comm, 77);
+    master.broker.publishImage(comm, /*view=*/0, f);
+    master.broker.respondAck(comm, cmds[0].commandId);
   });
   // Typed awaits filter by type regardless of arrival order.
   const auto ack = client.awaitAck();
@@ -165,11 +204,9 @@ TEST(Server, SteerTrafficIsClassified) {
   Command c;
   c.type = MsgType::kRequestStatus;
   client.send(c);
+  Master master(serverEnd);
   comm::Runtime rt(3);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    server.poll(comm);
-  });
+  rt.run([&](comm::Communicator& comm) { master.poll(comm); });
   EXPECT_GT(rt.totalCounters().of(comm::Traffic::kSteer).bytesSent, 0u);
 }
 
@@ -181,11 +218,9 @@ TEST(Server, ReceivedSteerBytesAreCountedSymmetrically) {
   client.send(c);
   c.type = MsgType::kResume;
   client.send(c);
+  Master master(serverEnd);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    server.poll(comm);
-  });
+  rt.run([&](comm::Communicator& comm) { master.poll(comm); });
   // Rank 0 drained two command frames off the channel: both the message
   // count and the payload bytes must appear on the receive side of kSteer.
   const auto& steer = rt.counters(0).of(comm::Traffic::kSteer);
@@ -204,13 +239,15 @@ TEST(Client, AckRoundTripFeedsTheRttHistogram) {
   const std::uint32_t id2 = client.send(c);
   EXPECT_NE(id1, id2);
   EXPECT_EQ(client.roundTripHistogram().count(), 0u);
+  // An id this client never issued: its ack passes, with no RTT sample.
+  sendWithId(clientEnd, MsgType::kPause, 9999);
+  Master master(serverEnd);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    server.poll(comm);
-    server.sendAck(comm, id1);
-    server.sendAck(comm, id2);
-    server.sendAck(comm, 9999);  // unknown id: ack passes, no RTT sample
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = master.poll(comm);
+    if (comm.rank() != 0) return;
+    ASSERT_EQ(cmds.size(), 3u);
+    for (const auto& cmd : cmds) master.broker.respondAck(comm, cmd.commandId);
   });
   ASSERT_TRUE(client.awaitAck().has_value());
   ASSERT_TRUE(client.awaitAck().has_value());
@@ -264,17 +301,20 @@ TEST(Protocol, TelemetryReportRoundTrip) {
 TEST(Server, TelemetryStreamReachesTheClient) {
   auto [clientEnd, serverEnd] = comm::makeChannelPair();
   SteeringClient client(clientEnd);
+  Master master(serverEnd);
+  master.subscribeEveryStep(serve::StreamKind::kTelemetry);
+  master.subscribeEveryStep(serve::StreamKind::kStatus);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+  rt.run([&](comm::Communicator& comm) {
+    if (comm.rank() != 0) return;  // the broker lives on rank 0
     telemetry::StepReport r;
     r.step = 40;
     r.ranks = 2;
     r.mlups = 5.5;
-    server.sendTelemetry(comm, r);  // no-op on rank 1
+    master.broker.publishTelemetry(comm, r);
     StatusReport s;
     s.step = 40;
-    server.sendStatus(comm, s);
+    master.broker.publishStatus(comm, s);
   });
   // Typed await skips past the interleaved status frame.
   const auto report = client.awaitTelemetry();
@@ -546,18 +586,18 @@ TEST(Server, RejectReachesTheClient) {
   cmd.type = MsgType::kSetTau;
   cmd.value = 0.1;
   const std::uint32_t id = client.send(cmd);
+  Master master(serverEnd);
+  master.subscribeEveryStep(serve::StreamKind::kStatus);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    const auto cmds = server.poll(comm);
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = master.poll(comm);
     ASSERT_EQ(cmds.size(), 1u);
+    if (comm.rank() != 0) return;  // the broker lives on rank 0
     StatusReport s;
     s.step = 3;
-    server.sendStatus(comm, s);  // interleaved frame; await must skip it
-    Reject rej;
-    rej.commandId = cmds[0].commandId;
-    rej.reason = RejectReason::kTauUnstable;
-    server.sendReject(comm, rej);  // no-op on rank 1
+    master.broker.publishStatus(comm, s);  // interleaved; await skips it
+    master.broker.respondReject(comm, cmds[0].commandId,
+                                RejectReason::kTauUnstable);
   });
   const auto rej = client.awaitReject();
   ASSERT_TRUE(rej.has_value());

@@ -24,6 +24,8 @@
 #include "geometry/voxelizer.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
+#include "serve/broker.hpp"
+#include "serve/client.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/step_report.hpp"
@@ -619,6 +621,62 @@ TEST(StepReport, DriverWindowsFeedThePerfModel) {
     driver.run(5);
     const auto second = driver.computeStepReport();
     EXPECT_EQ(second.stepsCovered, 5u);
+  });
+}
+
+TEST(StepReport, BrokerTelemetrySubscriberSeesFullWindows) {
+  // A subscriber at the driver's own statusEvery gets the window the
+  // driver closed after the step, not a second, empty one.
+  const auto lattice = tube(0.2);
+  const auto part = kway(lattice, 2);
+  serve::SessionBroker broker;
+  serve::ServeClient client(broker.connect());
+  client.subscribe(serve::StreamKind::kTelemetry, 25);
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lattice, part, comm.rank());
+    core::DriverConfig dcfg;
+    dcfg.lb = flowParams();
+    dcfg.computeWss = false;
+    dcfg.visEvery = 0;
+    dcfg.statusEvery = 25;
+    core::SimulationDriver driver(domain, comm, dcfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
+    EXPECT_EQ(driver.run(100), 100);
+    EXPECT_EQ(driver.lastStepReport().stepsCovered, 25u);
+    if (comm.rank() == 0) broker.closeAll();
+  });
+  std::vector<std::uint64_t> covered;
+  while (auto event = client.pollEvent()) {
+    if (event->type == steer::MsgType::kTelemetry) {
+      covered.push_back(event->telemetry.stepsCovered);
+    }
+  }
+  ASSERT_GE(covered.size(), 2u);
+  for (std::size_t i = 1; i < covered.size(); ++i) {
+    EXPECT_EQ(covered[i], 25u) << "frame " << i;
+  }
+}
+
+TEST(StepReport, RepartitionCheckOnAStatusStepKeepsTheWindow) {
+  // The imbalance check and the status report close the telemetry window
+  // on the same step; the second call must see the first's window.
+  const auto lattice = tube(0.2);
+  const auto part = kway(lattice, 2);
+  comm::Runtime rt(2);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lattice, part, comm.rank());
+    core::DriverConfig dcfg;
+    dcfg.lb = flowParams();
+    dcfg.computeWss = false;
+    dcfg.visEvery = 0;
+    dcfg.statusEvery = 25;
+    dcfg.repartition.repartitionEvery = 25;
+    dcfg.repartition.imbalanceThreshold = 1e9;  // check, never migrate
+    core::SimulationDriver driver(domain, comm, dcfg);
+    EXPECT_EQ(driver.run(50), 50);
+    EXPECT_EQ(driver.lastStepReport().step, 50u);
+    EXPECT_EQ(driver.lastStepReport().stepsCovered, 25u);
   });
 }
 
