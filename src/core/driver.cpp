@@ -51,14 +51,13 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
   steerChannel_ = serving_ = channel != 0;
   if (comm.rank() == 0 && steerChannel_) {
     // The steering channel never drops a frame: unbounded outbox.
-    serve::BrokerConfig bcfg;
-    bcfg.outboxCapacity = 0;
-    channelBroker_ = std::make_unique<serve::SessionBroker>(bcfg);
+    channelBroker_ =
+        std::make_unique<serve::SessionBroker>(serve::BrokerConfig{0});
     channelClient_ = channelBroker_->addClient(std::move(steerEnd));
-    channelBroker_->subscribe(channelClient_, serve::StreamKind::kStatus,
-                              config.statusEvery);
-    channelBroker_->subscribe(channelClient_, serve::StreamKind::kTelemetry,
-                              config.statusEvery);
+    for (const auto kind :
+         {serve::StreamKind::kStatus, serve::StreamKind::kTelemetry}) {
+      channelBroker_->subscribe(channelClient_, kind, config.statusEvery);
+    }
     broker_ = channelBroker_.get();
     followVisEvery();
   }
@@ -650,6 +649,20 @@ bool SimulationDriver::sentinelGuard(std::uint64_t step) {
   return false;
 }
 
+void SimulationDriver::startTelemetryWindow() {
+  windowStartStep_ = solver_->stepsDone();
+  windowTimer_.reset();
+  windowCollide_ = solver_->collideTimer().total();
+  windowStream_ = solver_->streamTimer().total();
+  windowComm_ = solver_->commTimer().total();
+  windowVis_ = 0.0;
+  for (std::size_t i = 0; i < pipeline_.numStages(); ++i) {
+    windowVis_ += pipeline_.stageSeconds(i);
+  }
+  windowRecvWait_ = solver_->recvWaitTimer().total();
+  windowCounters_ = comm_->counters();
+}
+
 telemetry::StepReport SimulationDriver::computeStepReport() {
   static_assert(comm::kNumTrafficClasses <=
                     telemetry::kReportTrafficClasses,
@@ -695,14 +708,7 @@ telemetry::StepReport SimulationDriver::computeStepReport() {
 
   // Start the next window before the collective so the gather traffic is
   // charged to it, not to the window being reported.
-  windowStartStep_ = solver_->stepsDone();
-  windowTimer_.reset();
-  windowCollide_ = solver_->collideTimer().total();
-  windowStream_ = solver_->streamTimer().total();
-  windowComm_ = solver_->commTimer().total();
-  windowVis_ = visTotal;
-  windowRecvWait_ = solver_->recvWaitTimer().total();
-  windowCounters_ = now;
+  startTelemetryWindow();
 
   const auto perRank = comm_->allgather(local);
   lastStepReport_ = telemetry::aggregateStepReports(perRank);
@@ -839,9 +845,8 @@ int SimulationDriver::run(int steps) {
             0) {
       maybeRepartition();
     }
-    // What is due after this step: the driver's own cadences, plus (on
-    // rank 0) any client subscription. One broadcast carries all three
-    // bits, keeping the collective decisions identical on every rank.
+    // Due after this step: the driver's cadences, or on rank 0 any client
+    // subscription. One broadcast keeps the decisions identical everywhere.
     constexpr std::uint8_t kRenderDue = 1, kStatusDue = 2, kTelemetryDue = 4;
     const bool statusCadence =
         config_.statusEvery > 0 &&
@@ -890,8 +895,6 @@ int SimulationDriver::run(int steps) {
       }
     }
     if (mirrorDue) lb::mirrorBuddy(*solver_, *comm_, *config_.buddy.store);
-    // Status and telemetry are computed once per due step and published
-    // to every due subscriber.
     if (due & kStatusDue) {
       const auto status = computeStatus();
       if (broker_ != nullptr) broker_->publishStatus(*comm_, status);
@@ -1105,18 +1108,7 @@ MigrationOutcome SimulationDriver::migrateNow(
 
   // The rebuilt solver's timers restart at zero — rebase the telemetry
   // window baselines or the next StepReport window would go negative.
-  windowStartStep_ = stepsDone;
-  windowTimer_.reset();
-  windowCollide_ = solver_->collideTimer().total();
-  windowStream_ = solver_->streamTimer().total();
-  windowComm_ = solver_->commTimer().total();
-  windowRecvWait_ = solver_->recvWaitTimer().total();
-  double visTotal = 0.0;
-  for (std::size_t i = 0; i < pipeline_.numStages(); ++i) {
-    visTotal += pipeline_.stageSeconds(i);
-  }
-  windowVis_ = visTotal;
-  windowCounters_ = comm_->counters();
+  startTelemetryWindow();
 
   if (auto* t = telemetry::threadTelemetry()) {
     auto& m = t->metrics();

@@ -258,6 +258,8 @@ class SimulationDriver {
   void pollSteering();
   /// Keep the steering channel's image subscription on config_.visEvery.
   void followVisEvery();
+  /// Rebase the telemetry window on the solver's current step and timers.
+  void startTelemetryWindow();
   /// Forget this step's status and telemetry (the solver state moved).
   void invalidateStepReports() { statusCurrent_ = reportCurrent_ = false; }
   /// Snapshot the pre-change state of a mutating command into history_.

@@ -724,14 +724,12 @@ class Solver {
     return ctx;
   }
 
-  /// The even/odd split of the Guo source under TRT. The source
-  /// S_i = w_i [3 (c_i - u) + 9 (c_i.u) c_i].F has an odd part 3 w_i c_i.F,
-  /// which carries the momentum and so relaxes with omega-minus, and an
-  /// even part (the rest). Each must be scaled by its own rate's
-  /// (1 - omega/2). Every kernel applies the BGK source scaled by
-  /// (1 - omega+/2), then adds (omega+ - omega-)/2 times the odd part:
-  /// a site-invariant per-direction constant, computed here once per sweep.
-  /// BGK (omega- = omega+) never adds it, so its arithmetic is unchanged.
+  /// Even/odd split of the Guo source under TRT. The odd part of
+  /// S_i = w_i [3 (c_i - u) + 9 (c_i.u) c_i].F is 3 w_i c_i.F; it carries
+  /// momentum, so it takes (1 - omega-/2) where the even part takes
+  /// (1 - omega+/2). Every kernel scales the whole source by (1 - omega+/2)
+  /// and adds (omega+ - omega-)/2 times the odd part, a site-invariant
+  /// constant computed here once per sweep; BGK never adds it.
   static void trtOddSource(CollisionCtx& ctx) {
     const auto& set = Lattice::kSet;
     const double scale = 0.5 * (ctx.omega - ctx.omegaMinus) * 3.0;

@@ -479,15 +479,20 @@ void SessionBroker::respondReject(comm::Communicator& comm,
   publishMetrics();
 }
 
-void SessionBroker::respondStatus(comm::Communicator& comm,
-                                  std::uint32_t commandId,
-                                  const steer::StatusReport& status) {
+void SessionBroker::respondFrame(comm::Communicator& comm,
+                                 std::uint32_t commandId,
+                                 const std::vector<std::byte>& frame) {
   const auto it = pending_.find(commandId);
   if (it == pending_.end()) return;
-  const auto frame = steer::encodeStatus(status);
   for (const int c : it->second.clients) {
     sendTo(comm, clients_[static_cast<std::size_t>(c)], frame, frame.size());
   }
+}
+
+void SessionBroker::respondStatus(comm::Communicator& comm,
+                                  std::uint32_t commandId,
+                                  const steer::StatusReport& status) {
+  respondFrame(comm, commandId, steer::encodeStatus(status));
 }
 
 void SessionBroker::respondImage(comm::Communicator& comm,
@@ -527,23 +532,13 @@ void SessionBroker::respondRoi(comm::Communicator& comm,
 void SessionBroker::respondObservable(comm::Communicator& comm,
                                       std::uint32_t commandId,
                                       const steer::ObservableReport& report) {
-  const auto it = pending_.find(commandId);
-  if (it == pending_.end()) return;
-  const auto frame = steer::encodeObservable(report);
-  for (const int c : it->second.clients) {
-    sendTo(comm, clients_[static_cast<std::size_t>(c)], frame, frame.size());
-  }
+  respondFrame(comm, commandId, steer::encodeObservable(report));
 }
 
 void SessionBroker::respondTelemetry(comm::Communicator& comm,
                                      std::uint32_t commandId,
                                      const telemetry::StepReport& report) {
-  const auto it = pending_.find(commandId);
-  if (it == pending_.end()) return;
-  const auto frame = steer::encodeTelemetry(report);
-  for (const int c : it->second.clients) {
-    sendTo(comm, clients_[static_cast<std::size_t>(c)], frame, frame.size());
-  }
+  respondFrame(comm, commandId, steer::encodeTelemetry(report));
 }
 
 void SessionBroker::closeAll() {

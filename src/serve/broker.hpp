@@ -136,10 +136,9 @@ class SessionBroker {
   /// handled (and acked) in place; remaining steering commands are
   /// returned with broker-unique command ids, followed by synthesized
   /// tick commands for every observable and ROI subscription due at
-  /// `step` (image, status and telemetry streams are published by the
-  /// driver after the step instead). The caller routes responses back
-  /// through the respond* methods using the (rewritten)
-  /// Command::commandId.
+  /// `step` (the publish* calls serve the other streams). The caller
+  /// routes responses back through the respond* methods using the
+  /// (rewritten) Command::commandId.
   std::vector<steer::Command> drainCommands(comm::Communicator& comm,
                                             std::uint64_t step);
 
@@ -249,6 +248,10 @@ class SessionBroker {
     return s.active && s.cadence > 0 &&
            step % static_cast<std::uint64_t>(s.cadence) == 0;
   }
+
+  /// Push `frame` to every client routed for `commandId`.
+  void respondFrame(comm::Communicator& comm, std::uint32_t commandId,
+                    const std::vector<std::byte>& frame);
 
   /// Push `frame` to every client whose `kind` subscription is due.
   void publishTo(comm::Communicator& comm, StreamKind kind,
