@@ -7,7 +7,10 @@
 # telemetry SPSC trace ring (rank thread producing, driver/test draining),
 # the partitioner's worker threads (site graph, k-way coarsening), and the
 # serving broker (N client threads subscribing/receiving against
-# the rank-0 serving thread) are exactly the kind of code TSan can vet.
+# the rank-0 serving thread, including the steering channel the driver
+# serves as a one-client broker) are exactly the kind of code TSan can vet.
+# test_core runs only its closed-loop cases: the golden run is too slow
+# under TSan.
 # Usage: tests/run_tsan.sh [build-dir]
 # Also registered under `ctest -L sanitize` when -DHEMO_SANITIZE_TESTS=ON.
 set -euo pipefail
@@ -19,7 +22,8 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHEMO_SANITIZE=thread
 cmake --build "$build_dir" -j --target test_lb test_lb_fused test_telemetry \
-  test_serve test_relay test_resilience test_recovery test_migration test_partition
+  test_serve test_relay test_resilience test_recovery test_migration test_partition \
+  test_steer test_core
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_lb"
@@ -31,4 +35,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_recovery"
 "$build_dir/tests/test_migration"
 "$build_dir/tests/test_partition"
+"$build_dir/tests/test_steer"
+"$build_dir/tests/test_core" --gtest_filter='ClosedLoop.*'
 echo "TSan run clean."
